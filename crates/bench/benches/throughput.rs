@@ -14,7 +14,7 @@
 //!    parallel run must reproduce the complete serial totals exactly;
 //! 2. **performance** — on the medium simulated instance the edge-indexed
 //!    kernels must deliver at least 1.5x the states/sec of the `Recompute`
-//!    oracle, the claimed payoff of the flat `SplitId` representation;
+//!    oracle, the claimed payoff of the flat clade-key representation;
 //! 3. **scaling** — the replay-free handoff regression rule, written to
 //!    `BENCH_6.json` (override with `BENCH6_OUT`): in edge-indexed mode on
 //!    the blow-up instances (`caterpillar-blowup`, `simulated-deadend`)

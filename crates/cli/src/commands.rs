@@ -388,7 +388,8 @@ fn build_checkpoint(
 /// Rebuilds the problem, config and pending tasks from a decoded
 /// checkpoint. Every reconstructed snapshot is re-validated against the
 /// reconstructed problem ([`StateSnapshot::from_parts`]), so a checkpoint
-/// that passed the checksum but carries an inconsistent frontier is
+/// that passed the checksum but carries an inconsistent frontier — a task
+/// tree with the wrong taxa, or one that conflicts with a constraint — is
 /// rejected with an error rather than enumerating wrong stands.
 fn restore_checkpoint(
     c: &Checkpoint,
@@ -423,7 +424,7 @@ fn restore_checkpoint(
         let tree = Tree::from_arena_dump(&t.tree).map_err(|e| bad(e.to_string()))?;
         let remaining: Vec<TaxonId> = t.remaining.iter().map(|&x| TaxonId(x)).collect();
         let snap = StateSnapshot::from_parts(&problem, tree, remaining, c.order_code, c.mapping)
-            .map_err(bad)?;
+            .map_err(|e| bad(e.to_string()))?;
         if !t.branches.is_empty() && !snap.remaining().contains(&TaxonId(t.taxon)) {
             return Err(bad(format!("pending taxon {} is not remaining", t.taxon)));
         }

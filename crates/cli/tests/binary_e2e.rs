@@ -285,3 +285,88 @@ fn induced_pipes_into_stand() {
         .expect("count parses");
     assert!(n >= 1);
 }
+
+/// A sidecar whose checksum is valid but whose task tree has two leaf
+/// labels swapped holds a state the search never reaches: the task tree
+/// disagrees with a constraint on their common taxa. `stand resume` must
+/// refuse it with the typed conflict error instead of enumerating from it.
+#[test]
+fn resume_rejects_task_tree_that_conflicts_with_a_constraint() {
+    use gentrius_core::state::SearchState;
+    use gentrius_core::{GentriusConfig, RunStats, StandProblem};
+    use gentrius_standfile::ckpt::problem_hash;
+    use gentrius_standfile::{Checkpoint, CkptTask};
+    use phylo::newick::parse_forest;
+    use phylo::taxa::TaxonId;
+
+    let newicks = ["((A,B),(C,D));", "((C,D),(E,F));"];
+    let (taxa, trees) = parse_forest(newicks).unwrap();
+    let problem = StandProblem::from_constraints(trees).unwrap();
+    let config = GentriusConfig::default();
+    let mut state = SearchState::new(&problem, 0, &config.taxon_order).unwrap();
+    state.enable_mapping(config.mapping);
+    let next = state.select_next().expect("taxa remain");
+    let snapshot = state.snapshot();
+    let names: Vec<String> = (0..taxa.len())
+        .map(|i| taxa.name(TaxonId(i as u32)).to_string())
+        .collect();
+    let constraints: Vec<String> = newicks.iter().map(|s| s.to_string()).collect();
+    let output = tmp("conflict.stand");
+    let _ = std::fs::remove_file(&output);
+    let checkpoint = Checkpoint {
+        problem_hash: problem_hash(&names, &constraints),
+        mapping: config.mapping,
+        order_code: snapshot.order_code(),
+        threads: 1,
+        initial_tree: 0,
+        stopping: config.stopping.clone(),
+        stats: RunStats::new(),
+        generation: 1,
+        output: output.display().to_string(),
+        taxa: names,
+        constraints,
+        segments: Vec::new(),
+        tasks: vec![CkptTask {
+            taxon: next.taxon.0,
+            branches: next.branches.iter().map(|e| e.0).collect(),
+            depth: 0,
+            remaining: snapshot.remaining().iter().map(|t| t.0).collect(),
+            tree: snapshot.agile().dump_arena(),
+        }],
+    };
+
+    // Control: the faithful sidecar resumes to completion.
+    let sidecar = tmp("conflict.standckpt");
+    checkpoint.write_atomic(&sidecar).unwrap();
+    let out = run_ok(&["stand", "resume", sidecar.to_str().unwrap()]);
+    assert!(out.contains("resuming"), "{out}");
+    assert!(!sidecar.exists(), "a completed resume retires its sidecar");
+
+    // Swap the labels of leaves A and C: ((C,B),(A,D)) conflicts with
+    // constraint 0 while keeping the taxa, the shape and the checksum.
+    let mut swapped = checkpoint.clone();
+    let nodes = &mut swapped.tasks[0].tree.nodes;
+    let find = |nodes: &[phylo::tree::DumpNode], t: u32| {
+        nodes
+            .iter()
+            .position(|n| n.alive && n.taxon == Some(t))
+            .unwrap()
+    };
+    let (a, c) = (find(nodes, 0), find(nodes, 2));
+    nodes[a].taxon = Some(2);
+    nodes[c].taxon = Some(0);
+    swapped.write_atomic(&sidecar).unwrap();
+    let out = gentrius()
+        .args(["stand", "resume", sidecar.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(
+        !out.status.success(),
+        "a conflicting task tree must not resume"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("checkpoint task 1: agile tree conflicts with constraint 0"),
+        "{stderr}"
+    );
+}

@@ -53,10 +53,11 @@ pub enum MappingMode {
     /// undo log (the scheme the paper's implementation uses; §V notes it
     /// costs 15–30% of total runtime to maintain).
     Incremental,
-    /// Flat `Vec<SplitId>` kernels indexed by `EdgeId` with arena-interned
-    /// splits, patched on insert/undone on remove: the admissibility test
-    /// collapses to one integer compare per (edge, constraint). The
-    /// default.
+    /// Flat `Vec<CladeKey>` kernels indexed by `EdgeId`, patched on
+    /// insert/undone on remove: each common-subtree edge is named by the
+    /// smallest member and size of its below-set of common taxa, so the
+    /// admissibility test collapses to one integer compare per (edge,
+    /// constraint). The default.
     #[default]
     EdgeIndexed,
 }

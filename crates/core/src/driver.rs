@@ -7,7 +7,6 @@ use crate::problem::{ProblemError, StandProblem};
 use crate::sink::StandSink;
 use crate::state::SearchState;
 use crate::stats::RunStats;
-use phylo::ops::compatible;
 use std::time::{Duration, Instant};
 
 /// Outcome of one (serial) Gentrius run.
@@ -52,16 +51,16 @@ pub fn run_serial<S: StandSink>(
 
     // Root invariant check: the initial tree must be compatible with every
     // other constraint, otherwise the stand is empty by definition.
-    let agile0 = &problem.constraints()[initial];
-    for cons in problem.constraints() {
-        if !compatible(agile0, cons) {
-            return Ok(RunResult {
-                stats: RunStats::new(),
-                stop: None,
-                elapsed: started.elapsed(),
-                initial_tree: initial,
-            });
-        }
+    if problem
+        .conflicting_constraint(&problem.constraints()[initial])
+        .is_some()
+    {
+        return Ok(RunResult {
+            stats: RunStats::new(),
+            stop: None,
+            elapsed: started.elapsed(),
+            initial_tree: initial,
+        });
     }
 
     let mut state = SearchState::new(problem, initial, &config.taxon_order)

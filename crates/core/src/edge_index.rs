@@ -1,4 +1,4 @@
-//! Edge-indexed admissibility kernels — flat, arena-backed projections.
+//! Edge-indexed admissibility kernels — flat projections keyed by clade.
 //!
 //! The incremental engine ([`crate::incremental`]) keeps the paper's
 //! double-edge mappings alive across insertions, but still represents a
@@ -6,25 +6,27 @@
 //! test `map[e] == b̂(t)` by comparing full split bitsets. This module is
 //! the flat-vector successor:
 //!
-//! * per constraint, every split is interned into a [`SplitArena`] so a
-//!   projection is a plain `Vec<SplitId>` indexed by `EdgeId` and the
-//!   targets a plain `Vec<SplitId>` indexed by taxon id — the admissibility
-//!   test is a single `u32` compare per (edge, constraint);
-//! * rebuilds reuse the bitset/traversal scratch of
-//!   [`ProjectionScratch`] and recycle retired id vectors through a pool,
-//!   so the steady-state explore loop allocates nothing per node;
+//! * per constraint, a projection is a plain `Vec<CladeKey>` indexed by
+//!   `EdgeId` and the targets a plain `Vec<CladeKey>` indexed by taxon id;
+//!   a [`CladeKey`] is the (smallest member, size) pair of the edge's
+//!   below-set of common taxa, exact while the agile tree and the
+//!   constraint agree on those taxa — the invariant the search keeps — so
+//!   the admissibility test is a single `u64` compare per (edge,
+//!   constraint), with no bitset, hashing or allocation behind it;
+//! * rebuilds reuse the traversal scratch of [`ProjectionScratch`] and
+//!   recycle retired key vectors through a pool, so the steady-state
+//!   explore loop allocates nothing per node;
 //! * insertions follow the incremental engine's patch discipline: a
 //!   constraint not containing the inserted taxon gets an O(1) three-slot
-//!   `u32` patch, a containing constraint gets a rebuild with the old
-//!   vectors (plus an arena checkpoint) pushed onto the undo stack.
+//!   patch, a containing constraint gets a rebuild with the old vectors
+//!   pushed onto the undo stack.
 //!
 //! [`crate::config::MappingMode::Recompute`] stays available as the oracle
 //! the conformance matrix checks every kernel against.
 
-use crate::mapping::{project_edges_into, project_targets_into, ProjectionScratch};
+use crate::mapping::{project_edges_into, project_targets_into, CladeKey, ProjectionScratch};
 use crate::problem::StandProblem;
 use phylo::bitset::BitSet;
-use phylo::split::{Split, SplitArena, SplitId};
 use phylo::taxa::TaxonId;
 use phylo::tree::{EdgeId, Insertion, Tree};
 
@@ -37,21 +39,17 @@ struct EdgeKernel {
     /// `map`/`targets` contents are meaningless.
     all: bool,
     /// Projection of agile edges onto the common subtree, by `EdgeId`.
-    map: Vec<SplitId>,
+    map: Vec<CladeKey>,
     /// `b̂(t)` for each taxon (by taxon id; `NONE` when absent).
-    targets: Vec<SplitId>,
-    /// Interns both the agile projection and the targets, so the two id
-    /// spaces are directly comparable.
-    arena: SplitArena,
+    targets: Vec<CladeKey>,
 }
 
 /// Undo record for one constraint rebuilt by an insertion.
 struct UndoEntry {
     constraint: u32,
     all: bool,
-    map: Vec<SplitId>,
-    targets: Vec<SplitId>,
-    arena_mark: usize,
+    map: Vec<CladeKey>,
+    targets: Vec<CladeKey>,
 }
 
 /// The live edge-indexed projections for every constraint plus the LIFO
@@ -60,10 +58,8 @@ pub struct EdgeIndexedMaps {
     per: Vec<EdgeKernel>,
     undo: Vec<Vec<UndoEntry>>,
     scratch: ProjectionScratch,
-    /// Scratch for the constraint tree's own edge projection.
-    cons_map: Vec<SplitId>,
-    /// Retired `Vec<SplitId>` buffers, recycled across rebuilds.
-    pool: Vec<Vec<SplitId>>,
+    /// Retired `Vec<CladeKey>` buffers, recycled across rebuilds.
+    pool: Vec<Vec<CladeKey>>,
     /// Retired undo frames, recycled across insertions.
     frame_pool: Vec<Vec<UndoEntry>>,
 }
@@ -72,32 +68,22 @@ impl EdgeIndexedMaps {
     /// Builds the kernels for the root state.
     pub fn new(problem: &StandProblem, agile: &Tree) -> Self {
         let mut scratch = ProjectionScratch::new();
-        let mut cons_map = Vec::new();
         let per = problem
             .constraints()
             .iter()
             .map(|cons| {
                 let c = agile.taxa().intersection(cons.taxa());
-                let mut arena = SplitArena::new(agile.universe());
                 let mut map = Vec::new();
                 let mut targets = Vec::new();
-                let projected = project_edges_into(agile, &c, &mut arena, &mut scratch, &mut map);
+                let projected = project_edges_into(agile, &c, &mut scratch, &mut map);
                 if projected {
-                    project_targets_into(
-                        cons,
-                        &c,
-                        &mut arena,
-                        &mut scratch,
-                        &mut cons_map,
-                        &mut targets,
-                    );
+                    project_targets_into(cons, &c, &mut scratch, &mut targets);
                 }
                 EdgeKernel {
                     all: !projected,
                     c,
                     map,
                     targets,
-                    arena,
                 }
             })
             .collect();
@@ -105,7 +91,6 @@ impl EdgeIndexedMaps {
             per,
             undo: Vec::new(),
             scratch,
-            cons_map,
             pool: Vec::new(),
             frame_pool: Vec::new(),
         }
@@ -117,33 +102,28 @@ impl EdgeIndexedMaps {
         self.per[ci].all
     }
 
-    /// The target id `b̂(t)` of `taxon` under constraint `ci`, or `NONE`
+    /// The target key `b̂(t)` of `taxon` under constraint `ci`, or `NONE`
     /// when the constraint admits every branch or does not pin the taxon.
     #[inline]
-    pub fn target_id(&self, ci: usize, taxon: TaxonId) -> SplitId {
+    pub fn target_key(&self, ci: usize, taxon: TaxonId) -> CladeKey {
         let k = &self.per[ci];
         if k.all {
-            return SplitId::NONE;
+            return CladeKey::NONE;
         }
         k.targets
             .get(taxon.index())
             .copied()
-            .unwrap_or(SplitId::NONE)
+            .unwrap_or(CladeKey::NONE)
     }
 
-    /// The projection id of live edge `e` under constraint `ci`.
+    /// The projection key of live edge `e` under constraint `ci`.
     #[inline]
-    pub fn projection_id(&self, ci: usize, e: EdgeId) -> SplitId {
+    pub fn projection_key(&self, ci: usize, e: EdgeId) -> CladeKey {
         self.per[ci]
             .map
             .get(e.index())
             .copied()
-            .unwrap_or(SplitId::NONE)
-    }
-
-    /// Resolves an id from constraint `ci`'s arena (diagnostics/tests).
-    pub fn resolve(&self, ci: usize, id: SplitId) -> Option<&Split> {
-        self.per[ci].arena.get(id)
+            .unwrap_or(CladeKey::NONE)
     }
 
     /// The common taxa `C` tracked for constraint `ci` (tests).
@@ -166,31 +146,18 @@ impl EdgeIndexedMaps {
             let cons = &problem.constraints()[ci];
             if cons.taxa().contains(t) {
                 // C grows: full rebuild into recycled buffers, with undo.
-                // The checkpoint is taken first so rolling back on undo
-                // drops exactly the splits this rebuild interned; the old
-                // vectors only reference ids below the mark.
                 k.c.insert(t);
-                let arena_mark = k.arena.checkpoint();
                 let mut new_map = self.pool.pop().unwrap_or_default();
                 let mut new_targets = self.pool.pop().unwrap_or_default();
-                let projected =
-                    project_edges_into(agile, &k.c, &mut k.arena, &mut self.scratch, &mut new_map);
+                let projected = project_edges_into(agile, &k.c, &mut self.scratch, &mut new_map);
                 if projected {
-                    project_targets_into(
-                        cons,
-                        &k.c,
-                        &mut k.arena,
-                        &mut self.scratch,
-                        &mut self.cons_map,
-                        &mut new_targets,
-                    );
+                    project_targets_into(cons, &k.c, &mut self.scratch, &mut new_targets);
                 }
                 frame.push(UndoEntry {
                     constraint: ci as u32,
                     all: k.all,
                     map: std::mem::replace(&mut k.map, new_map),
                     targets: std::mem::replace(&mut k.targets, new_targets),
-                    arena_mark,
                 });
                 k.all = !projected;
             } else if !k.all {
@@ -200,26 +167,26 @@ impl EdgeIndexedMaps {
                 // never read while dead and are rewritten on id reuse.
                 let hi = ins.far_half.index().max(ins.pendant.index());
                 if k.map.len() <= hi {
-                    k.map.resize(hi + 1, SplitId::NONE);
+                    k.map.resize(hi + 1, CladeKey::NONE);
                 }
-                let sid = k.map[ins.edge.index()];
-                k.map[ins.far_half.index()] = sid;
-                k.map[ins.pendant.index()] = sid;
+                let key = k.map[ins.edge.index()];
+                k.map[ins.far_half.index()] = key;
+                k.map[ins.pendant.index()] = key;
             }
         }
         self.undo.push(frame);
     }
 
-    /// Clones the *live* kernel state only — projections, targets and
-    /// arenas — with empty undo stacks and pools. Sound for task handoff
-    /// because a resumed task never undoes below its resume point: the undo
-    /// frames it pushes from here on are exactly the ones it will pop.
+    /// Clones the *live* kernel state only — the flat projection and
+    /// target vectors — with empty undo stacks and pools. Sound for task
+    /// handoff because a resumed task never undoes below its resume point:
+    /// the undo frames it pushes from here on are exactly the ones it will
+    /// pop.
     pub fn fork_live(&self) -> Self {
         EdgeIndexedMaps {
             per: self.per.clone(),
             undo: Vec::new(),
             scratch: ProjectionScratch::new(),
-            cons_map: Vec::new(),
             pool: Vec::new(),
             frame_pool: Vec::new(),
         }
@@ -234,7 +201,6 @@ impl EdgeIndexedMaps {
             let k = &mut self.per[entry.constraint as usize];
             k.c.remove(ins.taxon.index());
             k.all = entry.all;
-            k.arena.rollback(entry.arena_mark);
             self.pool.push(std::mem::replace(&mut k.map, entry.map));
             self.pool
                 .push(std::mem::replace(&mut k.targets, entry.targets));
@@ -246,6 +212,7 @@ impl EdgeIndexedMaps {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::tests::assert_keys_match_splits;
     use crate::mapping::{attachment_map, missing_taxon_targets};
     use phylo::newick::parse_forest;
 
@@ -255,8 +222,13 @@ mod tests {
     }
 
     /// Compares the edge-indexed kernels against freshly recomputed
-    /// Arc-based projections, split by split.
+    /// Arc-based projections: the same `C` and all-admissible flag, and
+    /// keys that name the same common-subtree edges as the recomputed
+    /// splits. Keys of the agile tree and of a constraint are comparable
+    /// only while the two agree on their common taxa, which every state
+    /// built here does.
     fn assert_matches_recompute(ei: &EdgeIndexedMaps, problem: &StandProblem, agile: &Tree) {
+        assert_eq!(problem.conflicting_constraint(agile), None);
         for (ci, cons) in problem.constraints().iter().enumerate() {
             let c = agile.taxa().intersection(cons.taxa());
             assert_eq!(ei.common(ci), &c, "C of {ci}");
@@ -266,28 +238,25 @@ mod tests {
                 fresh_map.all_admissible(),
                 "all_admissible flag of {ci}"
             );
-            for e in agile.edges() {
-                let via_kernel = if ei.all_admissible(ci) {
-                    None
-                } else {
-                    ei.resolve(ci, ei.projection_id(ci, e)).map(|s| s.side())
-                };
-                assert_eq!(
-                    via_kernel,
-                    fresh_map.get(e).map(|s| s.side()),
-                    "constraint {ci}, edge {e:?}"
-                );
-            }
             let fresh_targets = missing_taxon_targets(cons, &c);
-            for (t, fresh) in fresh_targets.iter().enumerate() {
-                let via_kernel = ei
-                    .resolve(ci, ei.target_id(ci, TaxonId(t as u32)))
-                    .map(|s| s.side());
-                assert_eq!(
-                    via_kernel,
-                    fresh.as_ref().map(|s| s.side()),
-                    "constraint {ci}, taxon {t}"
-                );
+            let targets = fresh_targets
+                .iter()
+                .enumerate()
+                .map(|(t, fresh)| (ei.target_key(ci, TaxonId(t as u32)), fresh.as_ref()));
+            if ei.all_admissible(ci) {
+                for (t, (key, fresh)) in targets.enumerate() {
+                    assert!(
+                        key.is_none() && fresh.is_none(),
+                        "constraint {ci}, taxon {t}"
+                    );
+                }
+            } else {
+                let entries: Vec<_> = agile
+                    .edges()
+                    .map(|e| (ei.projection_key(ci, e), fresh_map.get(e)))
+                    .chain(targets)
+                    .collect();
+                assert_keys_match_splits(&entries, &format!("constraint {ci}"));
             }
         }
     }

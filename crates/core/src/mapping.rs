@@ -12,7 +12,9 @@
 //!
 //! We identify common-subtree edges canonically by their **split of `C`**,
 //! so projections computed independently on `A` and `T` are directly
-//! comparable.
+//! comparable. The edge-indexed kernels ([`project_edges_into`],
+//! [`project_targets_into`]) name the same edges by a [`CladeKey`]
+//! instead: two integers per edge, no bitsets, exact under `A|C = T|C`.
 //!
 //! ### Why the projection is total and single-valued
 //!
@@ -28,7 +30,7 @@
 //! subtree has no edges and every branch is admissible.
 
 use phylo::bitset::BitSet;
-use phylo::split::{Split, SplitArena, SplitId};
+use phylo::split::Split;
 use phylo::taxa::TaxonId;
 use phylo::tree::{EdgeId, NodeId, Tree};
 use std::sync::Arc;
@@ -71,9 +73,13 @@ pub fn attachment_map(tree: &Tree, c: &BitSet) -> AttachMap {
     if c.count() < 2 {
         return AttachMap::AllAdmissible;
     }
-    // Root at the C-leaf with the smallest taxon id (deterministic).
-    let root_taxon = TaxonId(c.min_member().unwrap() as u32);
-    let root = tree.leaf(root_taxon).expect("C-taxon missing from tree");
+    // Root at the C-leaf with the smallest taxon id (deterministic). The
+    // subset assertion above guarantees the leaf exists; degrade to
+    // all-admissible rather than panic if the contract is ever broken.
+    let Some(root) = c.min_member().and_then(|m| tree.leaf(TaxonId(m as u32))) else {
+        debug_assert!(false, "C-taxon missing from tree");
+        return AttachMap::AllAdmissible;
+    };
     let order = tree.preorder(root);
 
     // Bottom-up: C-taxa below each node's parent edge.
@@ -103,9 +109,13 @@ pub fn attachment_map(tree: &Tree, c: &BitSet) -> AttachMap {
         let Some(pe) = pe else { continue };
         let parent = tree.opposite(pe, v);
         let split = if below[v.index()].is_empty() {
-            inherit[parent.index()]
-                .clone()
-                .expect("hanging edge with no Steiner ancestor")
+            // The root's child always carries `C \ {r}`, so every hanging
+            // edge has a Steiner ancestor.
+            let Some(inherited) = inherit[parent.index()].clone() else {
+                debug_assert!(false, "hanging edge with no Steiner ancestor");
+                continue;
+            };
+            inherited
         } else {
             Arc::new(Split::canonical(below[v.index()].clone(), c))
         };
@@ -135,17 +145,57 @@ pub fn missing_taxon_targets(tree: &Tree, c: &BitSet) -> Vec<Option<Split>> {
     out
 }
 
+/// Identity of a common-subtree edge in the edge-indexed kernels.
+///
+/// With the tree rooted at the leaf of `r = min C`, every edge `e` has a
+/// below-set `B(e)` of `C`-taxa on the side away from `r`, and `B(e)` is
+/// exactly the canonical side of `e`'s split of `C` (the side without the
+/// reference taxon). The key packs `(min B(e), |B(e)|)` as
+/// `min << 32 | size`. It determines `B(e)` because the below-sets of a
+/// rooted tree form a laminar family: two of them are nested or disjoint,
+/// so two distinct below-sets with the same smallest member are nested and
+/// differ in size. Taxon ids and leaf counts both fit in `u32` for every
+/// universe the tree arena accepts, so the packing is exact.
+///
+/// Keys of *two* trees are comparable only when both trees induce the
+/// same family, i.e. agree on `C`. The search keeps `A|C = T|C` for the
+/// agile tree `A` and every constraint `T` from the root state on
+/// ([`crate::StandProblem::conflicting_constraint`] checks it wherever a
+/// state is built from outside the search), so `map[e] == b̂(t)` is one
+/// integer compare.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct CladeKey(u64);
+
+impl CladeKey {
+    /// Sentinel for "no key" (dead edge slot, taxon without a target).
+    /// Never a real key: every below-set of a projected edge is non-empty.
+    pub const NONE: CladeKey = CladeKey(0);
+
+    #[inline]
+    fn new(min: u32, size: u32) -> CladeKey {
+        CladeKey((u64::from(min) << 32) | u64::from(size))
+    }
+
+    /// True if this is the [`CladeKey::NONE`] sentinel.
+    #[inline]
+    pub fn is_none(self) -> bool {
+        self == CladeKey::NONE
+    }
+}
+
 /// Reusable buffers for [`project_edges_into`] / [`project_targets_into`].
 ///
 /// One instance lives inside the edge-indexed kernel and is threaded
 /// through every rebuild, so the steady-state explore loop performs no
-/// per-node heap allocation: the per-node below-sets, the inherit vector
-/// and the traversal buffers are all recycled across rebuilds.
+/// heap allocation: the per-node key halves and the traversal buffers are
+/// recycled across rebuilds.
+#[derive(Default)]
 pub struct ProjectionScratch {
-    /// `below[v]` = C-taxa in the subtree below node `v`'s parent edge.
-    below: Vec<BitSet>,
-    /// Nearest-Steiner-ancestor split id per node (top-down inherit pass).
-    inherit: Vec<SplitId>,
+    /// Smallest `C`-taxon of each node's below-set (inherited for hanging
+    /// nodes once [`clade_keys`] returns).
+    min: Vec<u32>,
+    /// Size of each node's below-set (likewise inherited).
+    size: Vec<u32>,
     order: Vec<(NodeId, Option<EdgeId>)>,
     stack: Vec<(NodeId, Option<EdgeId>)>,
 }
@@ -153,49 +203,22 @@ pub struct ProjectionScratch {
 impl ProjectionScratch {
     /// Creates empty scratch; buffers grow on first use and are reused.
     pub fn new() -> Self {
-        ProjectionScratch {
-            below: Vec::new(),
-            inherit: Vec::new(),
-            order: Vec::new(),
-            stack: Vec::new(),
-        }
+        ProjectionScratch::default()
+    }
+
+    /// The key of the edge above non-root node `v` after [`clade_keys`].
+    #[inline]
+    fn key(&self, v: NodeId) -> CladeKey {
+        CladeKey::new(self.min[v.index()], self.size[v.index()])
     }
 }
 
-impl Default for ProjectionScratch {
-    fn default() -> Self {
-        ProjectionScratch::new()
-    }
-}
-
-/// Mutable access to two distinct slots of a slice (the bottom-up fold
-/// unions a child's below-set into its parent's without cloning).
-fn two_mut<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
-    debug_assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = v.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = v.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
-    }
-}
-
-/// Edge-indexed variant of [`attachment_map`]: writes the projection of
-/// every live edge of `tree` onto the common subtree of `c` into `map`
-/// (indexed by `EdgeId`, dead slots are [`SplitId::NONE`]), interning the
-/// splits into `arena`. Returns `false` for the degenerate `|C| ≤ 1` case
-/// (every branch admissible; `map` contents are then meaningless).
-///
-/// Equal splits intern to equal ids, so two projections built against the
-/// same arena compare with a single `u32` equality per edge.
-pub fn project_edges_into(
-    tree: &Tree,
-    c: &BitSet,
-    arena: &mut SplitArena,
-    scratch: &mut ProjectionScratch,
-    map: &mut Vec<SplitId>,
-) -> bool {
+/// Fills `scratch` so that [`ProjectionScratch::key`] gives, for every
+/// non-root node `v` of `tree` rooted at the leaf of `min C`, the clade
+/// key of the common-subtree edge that `v`'s parent edge projects onto.
+/// Returns `false` for the degenerate `|C| ≤ 1` case (no common-subtree
+/// edges).
+fn clade_keys(tree: &Tree, c: &BitSet, scratch: &mut ProjectionScratch) -> bool {
     debug_assert!(c.is_subset(tree.taxa()), "C must be common taxa");
     if c.count() < 2 {
         return false;
@@ -208,87 +231,98 @@ pub fn project_edges_into(
         return false;
     };
     tree.preorder_into(root, &mut scratch.stack, &mut scratch.order);
-
-    // Bottom-up: C-taxa below each node's parent edge.
     let nodes = tree.node_id_bound();
-    while scratch.below.len() < nodes {
-        scratch.below.push(BitSet::new(tree.universe()));
-    }
-    for &(v, _) in &scratch.order {
-        let below = &mut scratch.below[v.index()];
-        below.clear();
+    let ProjectionScratch {
+        min, size, order, ..
+    } = scratch;
+    min.clear();
+    min.resize(nodes, u32::MAX);
+    size.clear();
+    size.resize(nodes, 0);
+
+    // Bottom-up: in reverse preorder every node follows its children, so
+    // a leaf adds itself and then each node folds into its parent.
+    for &(v, pe) in order.iter().rev() {
+        let i = v.index();
         if let Some(t) = tree.taxon(v) {
             if c.contains(t.index()) {
-                below.insert(t.index());
+                min[i] = min[i].min(t.0);
+                size[i] += 1;
             }
         }
-    }
-    for i in (0..scratch.order.len()).rev() {
-        let (v, pe) = scratch.order[i];
         if let Some(pe) = pe {
-            let parent = tree.opposite(pe, v);
-            let (pb, vb) = two_mut(&mut scratch.below, parent.index(), v.index());
-            pb.union_with(vb);
+            let p = tree.opposite(pe, v).index();
+            min[p] = min[p].min(min[i]);
+            size[p] += size[i];
         }
     }
 
-    // Top-down: Steiner edges intern their own split; hanging edges inherit
-    // the id of the nearest ancestor Steiner edge.
-    map.clear();
-    map.resize(tree.edge_id_bound(), SplitId::NONE);
-    scratch.inherit.clear();
-    scratch.inherit.resize(nodes, SplitId::NONE);
-    for &(v, pe) in &scratch.order {
+    // Top-down: a node with an empty below-set hangs off the Steiner tree
+    // and inherits its parent's key, i.e. that of the nearest Steiner edge
+    // above it (the root's child always carries `C \ {r}`).
+    for &(v, pe) in order.iter() {
         let Some(pe) = pe else { continue };
-        let parent = tree.opposite(pe, v);
-        let sid = if scratch.below[v.index()].is_empty() {
-            let inherited = scratch.inherit[parent.index()];
-            debug_assert!(
-                !inherited.is_none(),
-                "hanging edge with no Steiner ancestor"
-            );
-            inherited
-        } else {
-            arena.intern_side(&scratch.below[v.index()], c)
-        };
-        map[pe.index()] = sid;
-        scratch.inherit[v.index()] = sid;
+        let i = v.index();
+        if size[i] == 0 {
+            let p = tree.opposite(pe, v).index();
+            debug_assert!(size[p] != 0, "hanging edge with no Steiner ancestor");
+            min[i] = min[p];
+            size[i] = size[p];
+        }
+    }
+    true
+}
+
+/// Edge-indexed variant of [`attachment_map`]: writes the [`CladeKey`] of
+/// the common-subtree edge every live edge of `tree` projects onto into
+/// `map` (indexed by `EdgeId`, dead slots are [`CladeKey::NONE`]). Returns
+/// `false` for the degenerate `|C| ≤ 1` case (every branch admissible;
+/// `map` contents are then meaningless).
+pub fn project_edges_into(
+    tree: &Tree,
+    c: &BitSet,
+    scratch: &mut ProjectionScratch,
+    map: &mut Vec<CladeKey>,
+) -> bool {
+    if !clade_keys(tree, c, scratch) {
+        return false;
+    }
+    map.clear();
+    map.resize(tree.edge_id_bound(), CladeKey::NONE);
+    for &(v, pe) in &scratch.order {
+        if let Some(pe) = pe {
+            map[pe.index()] = scratch.key(v);
+        }
     }
     true
 }
 
 /// Edge-indexed variant of [`missing_taxon_targets`]: fills `out` (indexed
-/// by taxon id over the whole universe) with the id of the common-subtree
-/// edge each taxon of `tree`'s leaf set outside `c` must subdivide —
-/// [`SplitId::NONE`] for taxa in `c`, absent taxa, or when `|C| ≤ 1`
-/// (in which case `false` is returned). `cons_map` is scratch for the
-/// constraint tree's own edge projection. Interns into the same `arena`
-/// as the agile projection so target and projection ids are comparable.
+/// by taxon id over the whole universe) with the [`CladeKey`] of the
+/// common-subtree edge each taxon of `tree`'s leaf set outside `c` must
+/// subdivide — [`CladeKey::NONE`] for taxa in `c`, absent taxa, or when
+/// `|C| ≤ 1` (in which case `false` is returned).
 pub fn project_targets_into(
     tree: &Tree,
     c: &BitSet,
-    arena: &mut SplitArena,
     scratch: &mut ProjectionScratch,
-    cons_map: &mut Vec<SplitId>,
-    out: &mut Vec<SplitId>,
+    out: &mut Vec<CladeKey>,
 ) -> bool {
     out.clear();
-    out.resize(tree.universe(), SplitId::NONE);
-    if !project_edges_into(tree, c, arena, scratch, cons_map) {
+    out.resize(tree.universe(), CladeKey::NONE);
+    if !clade_keys(tree, c, scratch) {
         return false;
     }
     for (leaf, taxon) in tree.leaves() {
-        if c.contains(taxon.index()) {
-            continue;
+        if !c.contains(taxon.index()) {
+            out[taxon.index()] = scratch.key(leaf);
         }
-        let pendant = tree.adjacent_edges(leaf)[0];
-        out[taxon.index()] = cons_map[pendant.index()];
     }
     true
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use phylo::newick::parse_forest;
     use phylo::ops::{displays, restrict};
@@ -302,6 +336,19 @@ mod tests {
         let mut cu = agile.taxa().intersection(constraint.taxa());
         cu.insert(t.index());
         topo_eq(&restrict(&a, &cu), &restrict(constraint, &cu))
+    }
+
+    /// Asserts that clade keys name the same common-subtree edges as the
+    /// Arc machinery's splits. Each entry pairs the key of an edge or a
+    /// target with its split: an entry has a key iff it has a split, and
+    /// two entries share a key iff they share a split.
+    pub(crate) fn assert_keys_match_splits(entries: &[(CladeKey, Option<&Split>)], ctx: &str) {
+        for (i, &(key, split)) in entries.iter().enumerate() {
+            assert_eq!(key.is_none(), split.is_none(), "{ctx}: entry {i}");
+            for (j, &(key2, split2)) in entries.iter().enumerate().skip(i + 1) {
+                assert_eq!(key == key2, split == split2, "{ctx}: entries {i} and {j}");
+            }
+        }
     }
 
     /// Admissibility via the projection machinery.
@@ -415,10 +462,11 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
         let universe = 12usize;
-        let mut arena = SplitArena::new(universe);
         let mut scratch = ProjectionScratch::new();
-        let (mut map, mut cons_map, mut targets) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut map, mut targets) = (Vec::new(), Vec::new());
         for trial in 0..40 {
+            // Agile tree and constraint are restrictions of one source
+            // tree, so they agree on their common taxa.
             let ids: Vec<TaxonId> = (0..universe as u32).map(TaxonId).collect();
             let source = random_tree(universe, &ids, ShapeModel::Uniform, &mut rng);
             let mut shuffled = ids.clone();
@@ -433,30 +481,23 @@ mod tests {
             let c = agile.taxa().intersection(cons.taxa());
 
             let reference = attachment_map(&agile, &c);
-            let projected = project_edges_into(&agile, &c, &mut arena, &mut scratch, &mut map);
+            let projected = project_edges_into(&agile, &c, &mut scratch, &mut map);
             assert_eq!(projected, !reference.all_admissible(), "trial {trial}");
-            if projected {
-                for e in agile.edges() {
-                    let via_arena = arena.get(map[e.index()]).map(|s| s.side());
-                    let via_arc = reference.get(e).map(|s| s.side());
-                    assert_eq!(via_arena, via_arc, "trial {trial}, edge {e:?}");
-                }
-            }
-
             let ref_targets = missing_taxon_targets(&cons, &c);
-            let has_targets = project_targets_into(
-                &cons,
-                &c,
-                &mut arena,
-                &mut scratch,
-                &mut cons_map,
-                &mut targets,
-            );
+            let has_targets = project_targets_into(&cons, &c, &mut scratch, &mut targets);
             assert_eq!(has_targets, projected, "trial {trial}");
-            for t in 0..universe {
-                let via_arena = arena.get(targets[t]).map(|s| s.side());
-                let via_arc = ref_targets[t].as_ref().map(|s| s.side());
-                assert_eq!(via_arena, via_arc, "trial {trial}, taxon {t}");
+            let target_entries = (0..universe).map(|t| (targets[t], ref_targets[t].as_ref()));
+            if projected {
+                let entries: Vec<_> = agile
+                    .edges()
+                    .map(|e| (map[e.index()], reference.get(e)))
+                    .chain(target_entries)
+                    .collect();
+                assert_keys_match_splits(&entries, &format!("trial {trial}"));
+            } else {
+                for (t, (key, split)) in target_entries.enumerate() {
+                    assert!(key.is_none() && split.is_none(), "trial {trial}, taxon {t}");
+                }
             }
         }
     }

@@ -3,6 +3,7 @@
 
 use crate::config::InitialTreeRule;
 use phylo::bitset::BitSet;
+use phylo::ops::compatible;
 use phylo::pam::Pam;
 use phylo::tree::Tree;
 use std::fmt;
@@ -130,6 +131,20 @@ impl StandProblem {
         &self.taxon_constraints[t]
     }
 
+    /// The first constraint `T_i` that `agile` disagrees with on their
+    /// common taxa `C_i` (`agile|C_i ≠ T_i|C_i`), or `None` when it agrees
+    /// with all of them.
+    ///
+    /// Agreement is the invariant of every search state: it makes an empty
+    /// stand certain at the root when it fails there, and the edge-indexed
+    /// kernels' clade keys are exact only while it holds. The search keeps
+    /// it from the root on; this is the one check for states that come
+    /// from elsewhere — the initial tree of every engine and each task
+    /// tree read back from a checkpoint.
+    pub fn conflicting_constraint(&self, agile: &Tree) -> Option<usize> {
+        self.constraints.iter().position(|t| !compatible(agile, t))
+    }
+
     /// Chooses the initial agile tree index per `rule`.
     ///
     /// [`InitialTreeRule::MaxOverlap`] is the paper's heuristic: the
@@ -211,6 +226,17 @@ mod tests {
         );
         assert_eq!(p.initial_tree_index(&InitialTreeRule::Index(2)).unwrap(), 2);
         assert!(p.initial_tree_index(&InitialTreeRule::Index(9)).is_err());
+    }
+
+    #[test]
+    fn conflicting_constraint_names_the_first_disagreement() {
+        let (_, trees) =
+            parse_forest(["((A,B),(C,D));", "((A,C),(E,F));", "((A,C),(B,D));"]).unwrap();
+        let p = StandProblem::from_constraints(trees).unwrap();
+        // Constraint 1 shares only {A,C} with constraint 0; constraint 2
+        // splits {A,B,C,D} the other way.
+        assert_eq!(p.conflicting_constraint(&p.constraints()[0]), Some(2));
+        assert_eq!(p.conflicting_constraint(&p.constraints()[1]), None);
     }
 
     #[test]

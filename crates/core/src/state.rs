@@ -11,9 +11,9 @@
 use crate::config::{MappingMode, TaxonOrderRule};
 use crate::edge_index::EdgeIndexedMaps;
 use crate::incremental::IncrementalMaps;
-use crate::mapping::{attachment_map, missing_taxon_targets, AttachMap};
+use crate::mapping::{attachment_map, missing_taxon_targets, AttachMap, CladeKey};
 use crate::problem::StandProblem;
-use phylo::split::{Split, SplitId};
+use phylo::split::Split;
 use phylo::taxa::TaxonId;
 use phylo::tree::{EdgeId, Insertion, Tree};
 
@@ -59,6 +59,56 @@ enum OrderEngine {
     Dynamic(DynamicTie),
     Static,
 }
+
+/// Why [`StateSnapshot::from_parts`] rejected a serialized state.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SnapshotError {
+    /// The order-engine wire byte is not 0, 1 or 2.
+    UnknownOrderCode(u8),
+    /// The agile tree addresses a taxon universe of another size.
+    UniverseMismatch {
+        /// The agile tree's universe size.
+        agile: usize,
+        /// The problem's universe size.
+        problem: usize,
+    },
+    /// The agile tree is not binary unrooted.
+    NotBinary,
+    /// A remaining taxon is outside the universe, already in the agile
+    /// tree, or listed twice.
+    RemainingNotMissing(u32),
+    /// This many taxa missing from the agile tree are not remaining.
+    MissingNotRemaining(usize),
+    /// The agile tree disagrees with this constraint on their common taxa,
+    /// a state the search never reaches.
+    ConflictsWithConstraint(usize),
+}
+
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SnapshotError::UnknownOrderCode(c) => write!(f, "unknown order-engine code {c}"),
+            SnapshotError::UniverseMismatch { agile, problem } => write!(
+                f,
+                "agile tree universe {agile} does not match the problem's {problem}"
+            ),
+            SnapshotError::NotBinary => write!(f, "agile tree is not binary unrooted"),
+            SnapshotError::RemainingNotMissing(t) => write!(
+                f,
+                "remaining taxon {t} is out of range, already in the agile tree or repeated"
+            ),
+            SnapshotError::MissingNotRemaining(n) => {
+                write!(f, "{n} missing taxa absent from the remaining list")
+            }
+            SnapshotError::ConflictsWithConstraint(i) => write!(
+                f,
+                "agile tree conflicts with constraint {i} on their common taxa"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SnapshotError {}
 
 /// An owned, problem-independent copy of a [`SearchState`]: the agile
 /// tree, the remaining taxa and the *live* projection engine state (with
@@ -132,45 +182,45 @@ impl StateSnapshot {
     /// The parts cross process boundaries through checkpoint files, so they
     /// are validated as hostile input: the universe must match the problem,
     /// the remaining taxa must be exactly the taxa missing from the agile
-    /// tree, and the agile tree must be binary.
+    /// tree, the agile tree must be binary, and it must agree with every
+    /// constraint on their common taxa
+    /// ([`StandProblem::conflicting_constraint`]) — the invariant of every
+    /// search state, without which the edge-indexed kernels would answer
+    /// admissibility queries wrongly.
     pub fn from_parts(
         problem: &StandProblem,
         agile: Tree,
         remaining: Vec<TaxonId>,
         order_code: u8,
         mapping: MappingMode,
-    ) -> Result<StateSnapshot, String> {
+    ) -> Result<StateSnapshot, SnapshotError> {
         let order = match order_code {
             0 => OrderEngine::Static,
             1 => OrderEngine::Dynamic(DynamicTie::SmallestId),
             2 => OrderEngine::Dynamic(DynamicTie::MostConstraints),
-            other => return Err(format!("unknown order-engine code {other}")),
+            other => return Err(SnapshotError::UnknownOrderCode(other)),
         };
         if agile.universe() != problem.universe() {
-            return Err(format!(
-                "agile tree universe {} does not match the problem's {}",
-                agile.universe(),
-                problem.universe()
-            ));
+            return Err(SnapshotError::UniverseMismatch {
+                agile: agile.universe(),
+                problem: problem.universe(),
+            });
         }
         if !agile.is_binary_unrooted() {
-            return Err("agile tree is not binary unrooted".into());
+            return Err(SnapshotError::NotBinary);
         }
         let mut missing = problem.all_taxa().difference(agile.taxa());
         for &t in &remaining {
-            if !missing.contains(t.index()) {
-                return Err(format!(
-                    "remaining taxon {} is already in the agile tree or repeated",
-                    t.0
-                ));
+            if t.index() >= problem.universe() || !missing.contains(t.index()) {
+                return Err(SnapshotError::RemainingNotMissing(t.0));
             }
             missing.remove(t.index());
         }
         if missing.count() != 0 {
-            return Err(format!(
-                "{} missing taxa absent from the remaining list",
-                missing.count()
-            ));
+            return Err(SnapshotError::MissingNotRemaining(missing.count()));
+        }
+        if let Some(i) = problem.conflicting_constraint(&agile) {
+            return Err(SnapshotError::ConflictsWithConstraint(i));
         }
         let engine = match mapping {
             MappingMode::Recompute => MapsEngine::Recompute,
@@ -527,18 +577,18 @@ fn admissible_into(
     out.clear();
     let cis = problem.constraints_of_taxon(taxon.index());
     if let MapsEngine::EdgeIndexed(ei) = engine {
-        // Flat kernels: one u32 compare per (edge, constraint).
+        // Flat kernels: one u64 compare per (edge, constraint).
         scratch.ei_checks.clear();
         for &ci in cis {
             let ci = ci as usize;
-            let target = ei.target_id(ci, taxon);
+            let target = ei.target_key(ci, taxon);
             if !target.is_none() {
                 scratch.ei_checks.push((ci, target));
             }
         }
         'edges: for e in agile.edges() {
             for &(ci, target) in &scratch.ei_checks {
-                if ei.projection_id(ci, e) != target {
+                if ei.projection_key(ci, e) != target {
                     continue 'edges;
                 }
             }
@@ -595,8 +645,8 @@ fn admissible_into(
 struct QueryScratch {
     agile_maps: Vec<Option<AttachMap>>,
     targets: Vec<Option<Vec<Option<Split>>>>,
-    /// `(constraint, target id)` pairs for the edge-indexed fast path.
-    ei_checks: Vec<(usize, SplitId)>,
+    /// `(constraint, target key)` pairs for the edge-indexed fast path.
+    ei_checks: Vec<(usize, CladeKey)>,
     /// Branches of the candidate taxon under evaluation.
     cand: Vec<EdgeId>,
     /// Branches of the best candidate so far.
@@ -748,6 +798,40 @@ mod tests {
         assert!(a.taxon < b.taxon, "id tie-break picks the smaller id");
         let g = TaxonId(5);
         assert_eq!(b.taxon, g);
+    }
+
+    #[test]
+    fn from_parts_rejects_a_tree_that_conflicts_with_a_constraint() {
+        let p = problem(&["((A,B),(C,D));", "((C,D),(E,F));"]);
+        let remaining = vec![TaxonId(4), TaxonId(5)];
+        let ok = StateSnapshot::from_parts(
+            &p,
+            p.constraints()[0].clone(),
+            remaining.clone(),
+            1,
+            MappingMode::EdgeIndexed,
+        );
+        assert!(ok.is_ok());
+        // A taxon id far outside the universe is an error, not a panic.
+        let err = StateSnapshot::from_parts(
+            &p,
+            p.constraints()[0].clone(),
+            vec![TaxonId(4), TaxonId(5), TaxonId(1000)],
+            1,
+            MappingMode::EdgeIndexed,
+        )
+        .unwrap_err();
+        assert_eq!(err, SnapshotError::RemainingNotMissing(1000));
+        // ((A,C),(B,D)) has the right taxa (same interning order and
+        // universe as the problem) but splits them the other way from
+        // constraint 0.
+        let (_, trees) =
+            parse_forest(["((A,B),(C,D));", "((A,C),(B,D));", "((E,F),(A,B));"]).unwrap();
+        let err =
+            StateSnapshot::from_parts(&p, trees[1].clone(), remaining, 1, MappingMode::EdgeIndexed)
+                .unwrap_err();
+        assert_eq!(err, SnapshotError::ConflictsWithConstraint(0));
+        assert!(err.to_string().contains("constraint 0"), "{err}");
     }
 
     #[test]

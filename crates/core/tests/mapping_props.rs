@@ -1,18 +1,23 @@
-//! Property tests of the edge-indexed admissibility kernels: on random
-//! trees and constraints the flat `SplitId` kernels must agree with the
-//! definitional admissibility test for every (taxon, edge) pair, and an
-//! apply/undo round trip must restore the exact observable projection
-//! state at every depth.
+//! Property tests of the edge-indexed admissibility kernels. The kernels
+//! name each common-subtree edge by a clade key, which is exact only while
+//! the agile tree agrees with each constraint on their common taxa — the
+//! invariant every search state keeps. So on random walks that insert
+//! only on admissible edges (states the search can reach) the kernels must
+//! agree with the definitional admissibility test for every (constraint,
+//! missing taxon, edge) triple, and key equality must match split
+//! equality, at every depth. Apply/undo round trips must restore the raw
+//! key vectors exactly, on walks over random edges as well; that property
+//! does not depend on the invariant.
 
 use gentrius_core::edge_index::EdgeIndexedMaps;
-use gentrius_core::mapping::{attachment_map, missing_taxon_targets};
+use gentrius_core::mapping::{attachment_map, missing_taxon_targets, CladeKey};
 use gentrius_core::StandProblem;
 use phylo::bitset::BitSet;
 use phylo::generate::{random_tree, ShapeModel};
-use phylo::ops::restrict;
-use phylo::split::topo_eq;
+use phylo::ops::{compatible, restrict};
+use phylo::split::{topo_eq, Split};
 use phylo::taxa::TaxonId;
-use phylo::tree::{EdgeId, Tree};
+use phylo::tree::{EdgeId, Insertion, Tree};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -57,39 +62,35 @@ fn admissible_by_kernel(ei: &EdgeIndexedMaps, ci: usize, t: TaxonId, e: EdgeId) 
     if ei.all_admissible(ci) {
         return true;
     }
-    let target = ei.target_id(ci, t);
+    let target = ei.target_key(ci, t);
     if target.is_none() {
         return true; // constraint does not pin the taxon
     }
-    ei.projection_id(ci, e) == target
+    ei.projection_key(ci, e) == target
 }
 
-/// Everything a kernel exposes, resolved to concrete split sides so ids
-/// from different arena generations compare by value.
-type KernelSnapshot = Vec<(BitSet, bool, Vec<Option<BitSet>>, Vec<Option<BitSet>>)>;
+/// Everything a kernel exposes, as raw keys.
+type KernelSnapshot = Vec<(BitSet, bool, Vec<CladeKey>, Vec<CladeKey>)>;
 
 fn snapshot(ei: &EdgeIndexedMaps, problem: &StandProblem, agile: &Tree) -> KernelSnapshot {
     (0..problem.constraints().len())
         .map(|ci| {
-            let map: Vec<Option<BitSet>> = agile
-                .edges()
-                .map(|e| {
-                    ei.resolve(ci, ei.projection_id(ci, e))
-                        .map(|s| s.side().clone())
-                })
-                .collect();
-            let targets: Vec<Option<BitSet>> = (0..UNIVERSE)
-                .map(|t| {
-                    ei.resolve(ci, ei.target_id(ci, TaxonId(t as u32)))
-                        .map(|s| s.side().clone())
-                })
+            let map = agile.edges().map(|e| ei.projection_key(ci, e)).collect();
+            let targets = (0..UNIVERSE)
+                .map(|t| ei.target_key(ci, TaxonId(t as u32)))
                 .collect();
             (ei.common(ci).clone(), ei.all_admissible(ci), map, targets)
         })
         .collect()
 }
 
-/// Asserts the kernels match freshly recomputed Arc-based projections.
+/// Asserts the kernels match freshly recomputed Arc-based projections:
+/// the same `C` and all-admissible flag, and keys that name the same
+/// common-subtree edges as the recomputed splits — an entry has a key iff
+/// it has a split, and two entries share a key iff they share a split.
+/// Pairs of agile edges are compared on every state; targets only under
+/// constraints the agile tree agrees with, since keys of two trees are
+/// comparable only then.
 fn matches_recompute(
     ei: &EdgeIndexedMaps,
     problem: &StandProblem,
@@ -108,31 +109,146 @@ fn matches_recompute(
         if ei.all_admissible(ci) {
             continue;
         }
-        for e in agile.edges() {
-            let via_kernel = ei.resolve(ci, ei.projection_id(ci, e)).map(|s| s.side());
-            prop_assert_eq!(
-                via_kernel,
-                fresh.get(e).map(|s| s.side()),
-                "constraint {}, edge {:?}",
-                ci,
-                e
-            );
-        }
+        let mut entries: Vec<(CladeKey, Option<&Split>)> = agile
+            .edges()
+            .map(|e| (ei.projection_key(ci, e), fresh.get(e)))
+            .collect();
         let fresh_targets = missing_taxon_targets(cons, &c);
-        for (t, fresh) in fresh_targets.iter().enumerate() {
-            let via_kernel = ei
-                .resolve(ci, ei.target_id(ci, TaxonId(t as u32)))
-                .map(|s| s.side());
+        if compatible(agile, cons) {
+            entries.extend((0..UNIVERSE).map(|t| {
+                (
+                    ei.target_key(ci, TaxonId(t as u32)),
+                    fresh_targets[t].as_ref(),
+                )
+            }));
+        }
+        for (i, &(key, split)) in entries.iter().enumerate() {
             prop_assert_eq!(
-                via_kernel,
-                fresh.as_ref().map(|s| s.side()),
-                "constraint {}, taxon {}",
+                key.is_none(),
+                split.is_none(),
+                "constraint {}, entry {}",
                 ci,
-                t
+                i
             );
+            for (j, &(key2, split2)) in entries.iter().enumerate().skip(i + 1) {
+                prop_assert_eq!(
+                    key == key2,
+                    split == split2,
+                    "constraint {}, entries {} and {}",
+                    ci,
+                    i,
+                    j
+                );
+            }
         }
     }
     Ok(())
+}
+
+/// Checks the kernel against the definition for every (constraint,
+/// missing taxon, edge) triple and returns, per missing taxon, the edges
+/// every constraint admits it on.
+fn agrees_with_definition(
+    ei: &EdgeIndexedMaps,
+    problem: &StandProblem,
+    agile: &Tree,
+) -> Result<Vec<(TaxonId, Vec<EdgeId>)>, TestCaseError> {
+    let mut admissible: Vec<(TaxonId, Vec<EdgeId>)> = problem
+        .all_taxa()
+        .difference(agile.taxa())
+        .iter()
+        .map(|t| (TaxonId(t as u32), agile.edges().collect()))
+        .collect();
+    for (ci, cons) in problem.constraints().iter().enumerate() {
+        let c = agile.taxa().intersection(cons.taxa());
+        // Taxa the constraint does not contain are never pinned by it.
+        for t in 0..UNIVERSE {
+            if !cons.taxa().contains(t) {
+                prop_assert!(ei.target_key(ci, TaxonId(t as u32)).is_none());
+            }
+        }
+        for (t, edges) in admissible.iter_mut() {
+            let t = *t;
+            if !cons.taxa().contains(t.index()) {
+                continue;
+            }
+            for e in agile.edges() {
+                let kernel = admissible_by_kernel(ei, ci, t, e);
+                if c.count() <= 1 {
+                    // |C| ≤ 1: every edge is admissible by definition and
+                    // the kernel must say so via the all flag.
+                    prop_assert!(ei.all_admissible(ci));
+                    prop_assert!(kernel);
+                } else {
+                    prop_assert_eq!(
+                        kernel,
+                        admissible_by_definition(agile, cons, t, e),
+                        "constraint {}, taxon {:?}, edge {:?}",
+                        ci,
+                        t,
+                        e
+                    );
+                }
+            }
+            edges.retain(|&e| admissible_by_kernel(ei, ci, t, e));
+        }
+    }
+    Ok(admissible)
+}
+
+/// Inserts `t` on `e` and patches the kernels, returning the undo record
+/// together with the kernel snapshot taken before the insertion.
+fn apply(
+    ei: &mut EdgeIndexedMaps,
+    problem: &StandProblem,
+    agile: &mut Tree,
+    t: TaxonId,
+    e: EdgeId,
+) -> (Insertion, KernelSnapshot) {
+    let snap = snapshot(ei, problem, agile);
+    let ins = agile.insert_leaf_on_edge(t, e);
+    ei.after_insert(problem, agile, &ins);
+    (ins, snap)
+}
+
+/// Unwinds `trail`, requiring each undo to restore the exact pre-insert
+/// snapshot.
+fn unwind(
+    ei: &mut EdgeIndexedMaps,
+    problem: &StandProblem,
+    agile: &mut Tree,
+    mut trail: Vec<(Insertion, KernelSnapshot)>,
+) -> Result<(), TestCaseError> {
+    while let Some((ins, snap)) = trail.pop() {
+        ei.before_remove(&ins);
+        agile.remove_insertion(&ins);
+        prop_assert_eq!(snapshot(ei, problem, agile), snap);
+    }
+    Ok(())
+}
+
+/// A random walk that inserts only on admissible edges, checking the
+/// kernels against the definition and the recompute machinery at every
+/// depth, until the tree is complete or no taxon has an admissible edge.
+/// Returns the trail for unwinding.
+fn admissible_walk(
+    ei: &mut EdgeIndexedMaps,
+    problem: &StandProblem,
+    agile: &mut Tree,
+    rng: &mut ChaCha8Rng,
+) -> Result<Vec<(Insertion, KernelSnapshot)>, TestCaseError> {
+    let mut trail = Vec::new();
+    loop {
+        prop_assert_eq!(problem.conflicting_constraint(agile), None);
+        matches_recompute(ei, problem, agile)?;
+        let mut options = agrees_with_definition(ei, problem, agile)?;
+        options.retain(|(_, edges)| !edges.is_empty());
+        let Some((t, edges)) = options.choose(rng) else {
+            return Ok(trail);
+        };
+        let e = edges[rng.gen_range(0..edges.len())];
+        trail.push(apply(ei, problem, agile, *t, e));
+    }
 }
 
 proptest! {
@@ -140,37 +256,10 @@ proptest! {
 
     #[test]
     fn edge_kernel_agrees_with_definition(seed in 0u64..u64::MAX) {
-        let (agile, problem) = random_instance(seed);
-        let ei = EdgeIndexedMaps::new(&problem, &agile);
-        matches_recompute(&ei, &problem, &agile)?;
-        for (ci, cons) in problem.constraints().iter().enumerate() {
-            let c = agile.taxa().intersection(cons.taxa());
-            for t in cons.taxa().difference(agile.taxa()).iter() {
-                let t = TaxonId(t as u32);
-                for e in agile.edges() {
-                    let kernel = admissible_by_kernel(&ei, ci, t, e);
-                    if c.count() <= 1 {
-                        // |C| ≤ 1: every edge is admissible by definition
-                        // and the kernel must say so via the all flag.
-                        prop_assert!(ei.all_admissible(ci));
-                        prop_assert!(kernel);
-                    } else {
-                        prop_assert_eq!(
-                            kernel,
-                            admissible_by_definition(&agile, cons, t, e),
-                            "constraint {}, taxon {:?}, edge {:?}",
-                            ci, t, e
-                        );
-                    }
-                }
-            }
-            // Taxa the constraint does not contain are never pinned by it.
-            for t in 0..UNIVERSE {
-                if !cons.taxa().contains(t) {
-                    prop_assert!(ei.target_id(ci, TaxonId(t as u32)).is_none());
-                }
-            }
-        }
+        let (mut agile, problem) = random_instance(seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xA11CE);
+        let mut ei = EdgeIndexedMaps::new(&problem, &agile);
+        admissible_walk(&mut ei, &problem, &mut agile, &mut rng)?;
     }
 
     #[test]
@@ -179,9 +268,12 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD1CE);
         let mut ei = EdgeIndexedMaps::new(&problem, &agile);
 
-        // Insert every missing taxon (random order, random edges),
-        // snapshotting the observable kernel state before each step and
-        // checking live agreement with the recompute machinery after it.
+        // States the search reaches: admissible edges only.
+        let trail = admissible_walk(&mut ei, &problem, &mut agile, &mut rng)?;
+        unwind(&mut ei, &problem, &mut agile, trail)?;
+
+        // Any states: every missing taxon on a random edge, in random
+        // order. Keys of agile edges must still match their splits.
         let mut missing: Vec<TaxonId> = problem
             .all_taxa()
             .difference(agile.taxa())
@@ -193,19 +285,9 @@ proptest! {
         for t in missing {
             let edges: Vec<EdgeId> = agile.edges().collect();
             let e = edges[rng.gen_range(0..edges.len())];
-            let snap = snapshot(&ei, &problem, &agile);
-            let ins = agile.insert_leaf_on_edge(t, e);
-            ei.after_insert(&problem, &agile, &ins);
-            matches_recompute(&ei, &problem, &agile)?;
-            trail.push((ins, snap));
-        }
-
-        // Unwind: each undo must restore the exact pre-insert snapshot.
-        while let Some((ins, snap)) = trail.pop() {
-            ei.before_remove(&ins);
-            agile.remove_insertion(&ins);
-            prop_assert_eq!(snapshot(&ei, &problem, &agile), snap);
+            trail.push(apply(&mut ei, &problem, &mut agile, t, e));
             matches_recompute(&ei, &problem, &agile)?;
         }
+        unwind(&mut ei, &problem, &mut agile, trail)?;
     }
 }

@@ -167,10 +167,19 @@ pub fn deadend_blowup() -> Dataset {
 }
 
 /// Pre-searched index for [`deadend_blowup`] (probe: complete serial
-/// enumeration of 192,375 trees, 204,299 intermediate states, 82,620
-/// dead ends — a backtracking-heavy workload long enough to time
-/// reliably). Re-pin with [`find_deadend_blowup`] if the workspace RNG
-/// stream changes.
+/// enumeration of 192,375 trees — a backtracking-heavy workload long
+/// enough to time reliably). Re-pin with [`find_deadend_blowup`] if the
+/// workspace RNG stream changes.
+///
+/// The search size depends on the form the instance is loaded in. The
+/// in-memory [`deadend_blowup`] takes 204,299 intermediate states and
+/// 82,620 dead ends; its dataset file (what `gentrius gen` writes and the
+/// CLI loads) takes 254,465 and 206,226. The stand is the same. The
+/// stopping rules are not the cause: each form gives its own figures
+/// under the default rules and under count-only limits alike. The cause
+/// is the text round trip: [`Dataset::from_text`] re-interns the taxa in
+/// order of appearance, and taxon ids break ties in the dynamic taxon
+/// order, so the two forms insert taxa in different orders.
 pub const DEADEND_BLOWUP_INDEX: u64 = 19;
 
 /// Searches for a [`deadend_blowup`] instance: fully enumerable under a

@@ -15,7 +15,6 @@ use gentrius_core::problem::{ProblemError, StandProblem};
 use gentrius_core::sink::{CountOnly, StandSink};
 use gentrius_core::state::SearchState;
 use gentrius_core::stats::RunStats;
-use phylo::ops::compatible;
 use phylo::tree::EdgeId;
 use std::time::{Duration, Instant};
 
@@ -279,12 +278,17 @@ where
     let started = Instant::now();
 
     // Root invariant check (same as the serial driver). A resumed frontier
-    // already passed it in the epoch that captured it — and carries real
-    // pending work regardless, so it must not be short-circuited.
-    let agile0 = &problem.constraints()[initial];
+    // does not start at the root: each of its states passed the same check
+    // when it was built (in the epoch that captured it, or in
+    // `StateSnapshot::from_parts` when read back from a checkpoint), and it
+    // carries real pending work, so it must not be short-circuited.
     let mut sinks = Vec::new();
     let mut prefix_sink = make_sink(0);
-    if resume.is_none() && problem.constraints().iter().any(|c| !compatible(agile0, c)) {
+    if resume.is_none()
+        && problem
+            .conflicting_constraint(&problem.constraints()[initial])
+            .is_some()
+    {
         sinks.push(prefix_sink);
         return Ok((
             ParallelRunResult {

@@ -108,15 +108,6 @@ impl BitSet {
         self.words.fill(0);
     }
 
-    /// Overwrites this set with the contents of `other` (same universe),
-    /// reusing the existing storage — the allocation-free `clone_from` of
-    /// the hot projection loops.
-    #[inline]
-    pub fn copy_from(&mut self, other: &BitSet) {
-        debug_assert_eq!(self.len, other.len);
-        self.words.copy_from_slice(&other.words);
-    }
-
     /// In-place union with `other`.
     #[inline]
     pub fn union_with(&mut self, other: &BitSet) {

@@ -26,7 +26,6 @@ use gentrius_core::state::SearchState;
 use gentrius_core::stats::RunStats;
 use gentrius_parallel::counters::FlushThresholds;
 use gentrius_parallel::task::{paper_queue_capacity, partition_branches};
-use phylo::ops::compatible;
 use phylo::taxa::TaxonId;
 use phylo::tree::EdgeId;
 use std::collections::VecDeque;
@@ -219,8 +218,10 @@ pub fn simulate(
     };
 
     // Root invariant check, as in the real engines.
-    let agile0 = &problem.constraints()[initial];
-    if problem.constraints().iter().any(|c| !compatible(agile0, c)) {
+    if problem
+        .conflicting_constraint(&problem.constraints()[initial])
+        .is_some()
+    {
         return Ok(SimResult {
             stats: RunStats::new(),
             stop: None,

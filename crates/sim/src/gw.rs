@@ -89,9 +89,10 @@ pub struct SearchProfile {
 
 /// Runs a serial, budget-capped exploration and records per-stratum
 /// offspring observations. Mirrors `run_serial`'s setup (initial tree,
-/// taxon order, mapping engine) so the profiled tree is the same tree the
-/// engines search. DFS descends to full depth immediately, so even small
-/// budgets populate every stratum.
+/// root compatibility check, taxon order, mapping engine) so the profiled
+/// tree is the same tree the engines search: an initial tree that
+/// conflicts with a constraint profiles an empty search. DFS descends to
+/// full depth immediately, so even small budgets populate every stratum.
 pub fn profile_search(
     problem: &StandProblem,
     config: &GentriusConfig,
@@ -102,9 +103,18 @@ pub fn profile_search(
         .map_err(ProblemError::BadTaxonOrder)?;
     state.enable_mapping(config.mapping);
     let depth = problem.all_taxa().count() - problem.constraints()[initial].taxa().count();
+    let mut strata: Vec<StratumStats> = (1..=depth).map(StratumStats::new).collect();
+    if problem.conflicting_constraint(&state.agile).is_some() {
+        return Ok(SearchProfile {
+            depth,
+            root_offspring: 0,
+            strata,
+            events: 0,
+            truncated: false,
+        });
+    }
     let mut ex = Explorer::new_root(state);
     let root_offspring = ex.top().map(|f| f.branches.len() as u64).unwrap_or(0);
-    let mut strata: Vec<StratumStats> = (1..=depth).map(StratumStats::new).collect();
     let mut events = 0u64;
     let mut sink = CountOnly;
     let mut truncated = false;
@@ -504,6 +514,26 @@ mod tests {
         assert_eq!(trees, serial.stats.stand_trees);
         assert_eq!(states, serial.stats.intermediate_states);
         assert_eq!(dead, serial.stats.dead_ends);
+    }
+
+    #[test]
+    fn conflicting_initial_tree_profiles_an_empty_search() {
+        // The first two constraints split {A,B,C,D} differently, so
+        // `run_serial` reports an empty stand without exploring, and the
+        // profile must not walk a search the engines never run.
+        let (_, trees) =
+            parse_forest(["((A,B),(C,D));", "((A,C),(B,D));", "((A,E),(F,B));"]).unwrap();
+        let p = StandProblem::from_constraints(trees).unwrap();
+        let cfg = GentriusConfig::exhaustive();
+        let serial = run_serial(&p, &cfg, &mut CountOnly).unwrap();
+        assert!(serial.complete());
+        assert_eq!(serial.stats.intermediate_states, 0);
+        assert_eq!(serial.stats.stand_trees, 0);
+        let profile = profile_search(&p, &cfg, u64::MAX).unwrap();
+        assert_eq!(profile.events, 0);
+        assert_eq!(profile.root_offspring, 0);
+        assert!(!profile.truncated);
+        assert!(profile.strata.iter().all(|s| s.nodes == 0));
     }
 
     #[test]
