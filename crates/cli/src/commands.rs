@@ -815,10 +815,11 @@ fn cmd_stand(a: &ParsedArgs) -> Result<String, CliError> {
             } else {
                 // One container segment per engine context (0 = the serial
                 // prefix, 1.. = workers), merged by raw block copy
-                // afterwards: workers never contend on one writer, and
-                // encoding runs off the per-state hot loop behind a
-                // BatchingSink. The guard removes the segments if finish
-                // or merge fails; otherwise the merge consumed them.
+                // afterwards: workers never contend on one writer, and each
+                // encodes its trees in bursts of at least 64 behind a
+                // BatchingSink that recycles their buffers. The guard
+                // removes the segments if finish or merge fails; otherwise
+                // the merge consumed them.
                 let seg_path = |i: usize| PathBuf::from(format!("{path}.seg{i}"));
                 let mut guard = SegGuard::new();
                 for i in 0..=pcfg.threads {
@@ -2194,7 +2195,7 @@ mod tests {
         // completed container behind.
         let _ = std::fs::remove_file(&cont);
         let _ = std::fs::remove_file(&ckpt);
-        // ~0.11 s budget on a ~0.8 s (debug) instance: the time limit
+        // ~36 ms budget on a ~0.2 s (debug) instance: the time limit
         // fires mid-run and the frontier lands in the checkpoint instead
         // of being lost.
         let out = run_strs(&[
@@ -2208,7 +2209,7 @@ mod tests {
             "--checkpoint-every",
             "10",
             "--max-hours",
-            "0.00003",
+            "0.00001",
         ])
         .unwrap();
         assert!(out.contains("stopped: time limit"), "{out}");

@@ -130,6 +130,100 @@ fn error_paths_exit_nonzero() {
     assert!(!out.status.success());
 }
 
+/// A `.stand` footer claiming 2^40 blocks used to abort `stand cat` on a
+/// 26 TB allocation: it must exit 1 and name the defect.
+#[test]
+fn stand_cat_rejects_a_hostile_footer() {
+    use gentrius_standfile::container::END_MAGIC;
+    use gentrius_standfile::ContainerWriter;
+
+    let path = tmp("hostile-footer.stand");
+    let taxa = phylo::taxa::TaxonSet::with_synthetic(5);
+    ContainerWriter::create(&path, &taxa)
+        .unwrap()
+        .finish()
+        .unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mut trailer = [0u8; 8];
+    trailer.copy_from_slice(&bytes[bytes.len() - 16..bytes.len() - 8]);
+    let footer_start = u64::from_le_bytes(trailer);
+    bytes.truncate(footer_start as usize);
+    // Block count 2^40 in LEB128, total 0, then the trailer.
+    bytes.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 0x00]);
+    bytes.extend_from_slice(&footer_start.to_le_bytes());
+    bytes.extend_from_slice(END_MAGIC);
+    std::fs::write(&path, &bytes).unwrap();
+
+    let out = gentrius()
+        .args(["stand", "cat", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("footer claims 1099511627776 blocks but has room for at most 8"),
+        "{stderr}"
+    );
+}
+
+/// `tests/fixtures/blowup-3000.stand` was written by the serial path
+/// (`stand --dataset fixtures/blowup-3000.dataset --max-trees 3000
+/// --output ...`; three blocks). It pins the codec and the container
+/// bytes: rewriting it, once by running the enumeration again and once by
+/// decoding every tree and encoding it afresh, must give the same bytes
+/// and the same `stand cat` output.
+#[test]
+fn stand_fixture_rewrites_byte_for_byte() {
+    use gentrius_core::StandSink;
+    use gentrius_standfile::{Container, ContainerSink};
+
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let dataset = dir.join("blowup-3000.dataset");
+    let fixture = dir.join("blowup-3000.stand");
+    let want = std::fs::read(&fixture).expect("fixture present");
+    let same_bytes = |path: &PathBuf| {
+        let got = std::fs::read(path).expect("rewritten container");
+        let first_diff = got.iter().zip(&want).position(|(a, b)| a != b);
+        assert!(
+            got == want,
+            "{} differs from the fixture: {} vs {} bytes, first difference at {first_diff:?}",
+            path.display(),
+            got.len(),
+            want.len()
+        );
+    };
+
+    let rerun = tmp("fixture-rerun.stand");
+    let out = run_ok(&[
+        "stand",
+        "--dataset",
+        dataset.to_str().unwrap(),
+        "--max-trees",
+        "3000",
+        "--output",
+        rerun.to_str().unwrap(),
+    ]);
+    assert!(out.contains("wrote 3000 trees"), "{out}");
+    same_bytes(&rerun);
+
+    let recoded = tmp("fixture-recoded.stand");
+    let mut src = Container::open(&fixture).expect("fixture opens");
+    assert_eq!((src.len(), src.block_count()), (3000, 3));
+    let taxa = src.taxa().clone();
+    let mut sink = ContainerSink::create(&recoded, &taxa);
+    for i in 0..src.len() {
+        sink.stand_tree(&src.tree(i).expect("fixture tree decodes"));
+    }
+    sink.finish().expect("recoded container finishes");
+    same_bytes(&recoded);
+
+    let cat = |p: &PathBuf| run_ok(&["stand", "cat", p.to_str().unwrap()]);
+    let expected = cat(&fixture);
+    assert_eq!(expected.lines().count(), 3000);
+    assert_eq!(cat(&rerun), expected);
+    assert_eq!(cat(&recoded), expected);
+}
+
 /// `stand cat FILE.stand | head -1` must exit 0: head closes the pipe
 /// after one line and the resulting EPIPE is an everyday shell idiom,
 /// not an error. The container is large enough (>64 KiB of newick) that

@@ -89,11 +89,12 @@ impl<F: FnMut(&Tree)> StandSink for F {
 /// forwards them to the inner sink in one burst.
 ///
 /// On blow-up instances the engine emits hundreds of thousands of stand
-/// trees per second, and each emission happens inside the worker hot loop.
-/// Wrapping an expensive sink (serialization, I/O) in a `BatchingSink`
-/// moves that cost off the per-state path and amortizes it over `batch`
-/// trees. Buffered trees are recycled through a spare pool so steady-state
-/// batching performs no allocation beyond the first `batch` clones.
+/// trees per second. The inner sink still runs on the worker that found
+/// the trees, but in bursts of `batch`, so a sink with per-call overhead
+/// (serialization, I/O) pays it once per burst instead of once per tree.
+/// Buffered trees are recycled through a spare pool and refilled with
+/// [`Tree`]'s field-wise `clone_from`, so steady-state batching reuses
+/// every buffer and allocates nothing beyond the first `batch` clones.
 ///
 /// Trees still in the buffer are flushed on [`Drop`], so no stand tree is
 /// ever lost; use [`BatchingSink::into_inner`] to flush explicitly and

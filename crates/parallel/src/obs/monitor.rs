@@ -34,7 +34,9 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MonitorConfig {
     /// Supervision period: how often the monitor enforces `max_time` and
-    /// samples a heartbeat.
+    /// samples a heartbeat. A checkpoint deadline that falls inside a tick
+    /// wakes the monitor early, so `checkpoint_every` is not rounded up to
+    /// a whole tick.
     pub tick: Duration,
     /// Ring capacity for heartbeat snapshots; once full, the oldest
     /// sample is dropped for each new one (the drop count is reported).
@@ -243,15 +245,21 @@ pub fn spawn_monitor<'scope, 'env: 'scope>(
             // The checkpoint trigger: once the epoch's wall-clock budget is
             // spent, quiesce the workers cooperatively. Raised at most once
             // per epoch — after the pause the pool is shutting down anyway.
-            if let Some(every) = checkpoint_every {
-                if !pause_raised && started.elapsed() >= every {
-                    pause_raised = true;
-                    pool.request_pause();
+            // Until then the monitor wakes at the deadline when it falls
+            // inside the tick, so a cadence shorter than a tick is kept.
+            let mut wait = shared.tick;
+            if let Some(every) = checkpoint_every.filter(|_| !pause_raised) {
+                match every.checked_sub(started.elapsed()) {
+                    Some(left) if !left.is_zero() => wait = wait.min(left),
+                    _ => {
+                        pause_raised = true;
+                        pool.request_pause();
+                    }
                 }
             }
             adapt_split_gate(pool, &mut prev_steals, &mut prev_executed);
             push_heartbeat(&mut st, global, pool, started);
-            let (guard, _timeout) = shared.cv.wait_timeout(st, shared.tick).unwrap();
+            let (guard, _timeout) = shared.cv.wait_timeout(st, wait).unwrap();
             st = guard;
         }
     });
@@ -357,6 +365,33 @@ mod tests {
             assert!(pair[0].elapsed_secs <= pair[1].elapsed_secs);
         }
         assert_eq!(report.heartbeats[0].per_worker.len(), 2);
+    }
+
+    #[test]
+    fn checkpoint_cadence_shorter_than_a_tick_is_kept() {
+        // A 20 ms cadence under a 60 s tick: the monitor must wake at the
+        // cadence instead of sleeping out the tick.
+        let g = GlobalCounters::new(StoppingRules::unlimited());
+        let p = TaskPool::new(2, 4);
+        p.preregister_active(1); // keeps the parked worker from self-draining
+        let shared = MonitorShared::new(&MonitorConfig {
+            tick: Duration::from_secs(60),
+            heartbeat_capacity: 64,
+            checkpoint_every: None,
+        });
+        let t0 = Instant::now();
+        std::thread::scope(|scope| {
+            spawn_monitor(scope, &shared, &g, &p, t0, Some(Duration::from_millis(20)));
+            // Parked until the pause shuts the pool down.
+            assert!(p.worker(1).next_task().is_none());
+            shared.finish(&g, &p, t0)
+        });
+        assert!(p.pause_requested());
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "the pause waited for a tick: {:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]

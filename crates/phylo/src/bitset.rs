@@ -17,11 +17,26 @@ const WORD_BITS: usize = 64;
 /// and two bitsets over the same universe compare equal iff they contain the
 /// same members. Operations on bitsets with different universe sizes are a
 /// logic error and panic in debug builds.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BitSet {
     /// Universe size in bits.
     len: usize,
     words: Vec<u64>,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            len: self.len,
+            words: self.words.clone(),
+        }
+    }
+
+    /// Reuses `self`'s word buffer when its capacity suffices.
+    fn clone_from(&mut self, source: &Self) {
+        self.len = source.len;
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl BitSet {

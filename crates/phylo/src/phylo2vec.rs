@@ -21,7 +21,6 @@
 //! * the vector is trivially hashable, giving a cheap cross-shard
 //!   topology key.
 
-use crate::bitset::BitSet;
 use crate::taxa::TaxonId;
 use crate::tree::{EdgeId, NodeId, Tree};
 
@@ -161,23 +160,41 @@ pub fn decode(universe: usize, taxa: &[TaxonId], code: &[u32]) -> Result<Tree, P
     Ok(tree)
 }
 
-/// Reusable-scratch encoder: amortizes the peel/rebuild buffers across many
+/// Per-node state of the encoder's replay, indexed by node id.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    /// Smallest taxon rank below the node (the tree rooted at `t0`'s leaf).
+    min: u32,
+    /// Rank whose canonical insertion created the node: the larger of its
+    /// two children's `min`. 0 for leaves (every creator is at least 2).
+    creator: u32,
+    /// First node under this one on its min-child chain whose creator is
+    /// smaller: the lower end of the edge `creator` was inserted on.
+    below: u32,
+    /// Canonical id of the edge above the node in the partial tree the
+    /// replay has reached.
+    top: u32,
+}
+
+/// Reusable-scratch encoder: keeps its per-node buffers across
 /// [`Encoder::encode`] calls (the stand container encodes every emitted
-/// tree on the worker hot path).
+/// tree on the worker that found it).
 #[derive(Default)]
 pub struct Encoder {
-    /// Peel-phase adjacency lists indexed by node id (neighbor node ids).
-    adj: Vec<Vec<u32>>,
-    /// Attachment split recorded while peeling taxon `i` (index `i - 3`).
-    splits: Vec<BitSet>,
-    /// DFS scratch for the peel phase: `(node, parent)` pairs.
-    stack: Vec<(u32, u32)>,
-    /// Rebuild phase: taxa below each edge (away from the `t0` root leaf).
-    below: Vec<BitSet>,
-    /// Rebuild preorder buffers.
+    /// Rank of each present taxon, indexed by taxon id.
+    rank: Vec<u32>,
+    /// Replay state, indexed by node id.
+    slots: Vec<Slot>,
+    /// `created[i]`: the internal node rank `i` created (`i >= 2`).
+    created: Vec<u32>,
+    /// Preorder from `t0`'s leaf: `(node, edge to its parent)`.
     order: Vec<(NodeId, Option<EdgeId>)>,
-    pre_stack: Vec<(NodeId, Option<EdgeId>)>,
+    /// DFS scratch for the preorder.
+    stack: Vec<(NodeId, Option<EdgeId>)>,
 }
+
+/// `created` entry of a rank no node has claimed yet.
+const UNCLAIMED: u32 = u32::MAX;
 
 impl Encoder {
     /// A fresh encoder (buffers grow on first use).
@@ -185,9 +202,18 @@ impl Encoder {
         Encoder::default()
     }
 
-    /// Encodes `tree` into its canonical [`TreeVector`].
+    /// Encodes `tree` into its canonical [`TreeVector`] in `O(n)`.
+    ///
+    /// Rooted at `t0`'s leaf, the internal node that the canonical
+    /// insertion of `t_i` created is the one whose two subtrees have
+    /// minimum ranks `< i` and exactly `i`, and the edge `t_i` was
+    /// inserted on ran from that node's parent down to `below`: the first
+    /// node on its min-child chain that existed before `t_i`. Replaying
+    /// the insertions in rank order with [`Tree::insert_leaf_on_edge`]'s
+    /// id rule (the subdivided edge keeps its id on the `t0` side, the far
+    /// half gets `2i-3`, the pendant `2i-2`) then reads each code entry
+    /// off the edge above `below`.
     pub fn encode(&mut self, tree: &Tree) -> Result<TreeVector, P2vError> {
-        let universe = tree.universe();
         // arith: taxon ids originate from the universe's u32-backed
         // `TaxonId`s, so the round-trip through `usize` cannot truncate.
         let taxa: Vec<TaxonId> = tree.taxa().iter().map(|t| TaxonId(t as u32)).collect();
@@ -201,131 +227,88 @@ impl Encoder {
         if !tree.is_binary_unrooted() {
             return Err(P2vError::NotBinary);
         }
-
-        // ------------------------------------------------------------------
-        // Peel phase: remove taxa from highest to lowest on a scratch
-        // adjacency copy. Removing leaf t_i and suppressing its neighbor
-        // leaves T|{t0..t_{i-1}}; the two merged edges become the edge t_i
-        // must be inserted on during the rebuild, identified by its split
-        // (canonical side = the one not containing t0).
-        // ------------------------------------------------------------------
-        let nb = tree.node_id_bound();
-        if self.adj.len() < nb {
-            self.adj.resize(nb, Vec::new());
+        if self.rank.len() < tree.universe() {
+            self.rank.resize(tree.universe(), 0);
         }
-        for a in self.adj.iter_mut() {
-            a.clear();
+        for (i, t) in taxa.iter().enumerate() {
+            // arith: a binary tree on n leaves has 2n-2 nodes with u32 ids,
+            // so every rank (and `2i-2` below) fits in a u32.
+            self.rank[t.index()] = i as u32;
         }
-        for e in tree.edges() {
-            let (a, b) = tree.endpoints(e);
-            self.adj[a.index()].push(b.0);
-            self.adj[b.index()].push(a.0);
-        }
-        while self.splits.len() < n - 3 {
-            self.splits.push(BitSet::new(0));
-        }
-        for i in (3..n).rev() {
-            let leaf = tree
-                .leaf(taxa[i])
-                .ok_or(P2vError::Internal("present taxon has no leaf"))?;
-            let &[mid] = self.adj[leaf.index()].as_slice() else {
-                return Err(P2vError::Internal("peeled leaf not degree 1"));
-            };
-            self.adj[mid as usize].retain(|&v| v != leaf.0);
-            let &[x, y] = self.adj[mid as usize].as_slice() else {
-                return Err(P2vError::Internal("peeled midpoint not degree 3"));
-            };
-            // Taxa on the x-side of the merged edge (DFS avoiding mid; the
-            // peeled leaf is unreachable, so the set is over {t0..t_{i-1}}).
-            let side = &mut self.splits[i - 3];
-            if side.universe() != universe {
-                *side = BitSet::new(universe);
-            } else {
-                side.clear();
-            }
-            self.stack.clear();
-            self.stack.push((x, mid));
-            let mut contains_t0 = false;
-            while let Some((v, parent)) = self.stack.pop() {
-                if let Some(t) = tree.taxon(NodeId(v)) {
-                    side.insert(t.index());
-                    contains_t0 |= t == taxa[0];
-                }
-                for &w in &self.adj[v as usize] {
-                    if w != parent {
-                        self.stack.push((w, v));
-                    }
-                }
-            }
-            if contains_t0 {
-                // Flip to the complementary side within the remaining taxa
-                // {t0..t_{i-1}} so every recorded split excludes t0.
-                let mut flipped = BitSet::new(universe);
-                for &t in taxa.iter().take(i) {
-                    if !side.contains(t.index()) {
-                        flipped.insert(t.index());
-                    }
-                }
-                *side = flipped;
-            }
-            // Suppress mid: connect x and y directly.
-            for &mut (a, b) in &mut [(x, y), (y, x)] {
-                for v in self.adj[a as usize].iter_mut() {
-                    if *v == mid {
-                        *v = b;
-                    }
-                }
-            }
-            self.adj[mid as usize].clear();
+        let leaf = |t: TaxonId| {
+            tree.leaf(t)
+                .ok_or(P2vError::Internal("present taxon has no leaf"))
+        };
+        // The walk is bounded by the live node count, so a cyclic or
+        // disconnected arena shows as a wrong length instead of a hang.
+        tree.preorder_into(leaf(taxa[0])?, &mut self.stack, &mut self.order);
+        if self.order.len() != tree.node_count() {
+            return Err(P2vError::Internal("tree is cyclic or disconnected"));
         }
 
-        // ------------------------------------------------------------------
-        // Rebuild phase: replay the canonical insertion order, matching each
-        // recorded split against the edges of the growing partial tree
-        // (whose ids are contiguous, so the edge id *is* the code entry).
-        // ------------------------------------------------------------------
-        let mut code = vec![0u32; n - 2];
-        let mut bt = Tree::two_leaf(universe, taxa[0], taxa[1]);
-        bt.insert_leaf_on_edge(taxa[2], EdgeId(0));
-        for i in 3..n {
-            let root = bt
-                .leaf(taxa[0])
-                .ok_or(P2vError::Internal("rebuild lost the root leaf"))?;
-            bt.preorder_into(root, &mut self.pre_stack, &mut self.order);
-            let eb = bt.edge_id_bound();
-            while self.below.len() < eb {
-                self.below.push(BitSet::new(0));
+        // Bottom-up: reverse preorder visits children before parents.
+        if self.slots.len() < tree.node_id_bound() {
+            self.slots.resize(tree.node_id_bound(), Slot::default());
+        }
+        self.created.clear();
+        self.created.resize(n, UNCLAIMED);
+        for &(v, up) in self.order.iter().rev() {
+            if let Some(t) = tree.taxon(v) {
+                self.slots[v.index()] = Slot {
+                    min: self.rank[t.index()],
+                    creator: 0,
+                    below: v.0,
+                    top: 0,
+                };
+                continue;
             }
-            for b in self.below.iter_mut().take(eb) {
-                if b.universe() != universe {
-                    *b = BitSet::new(universe);
-                } else {
-                    b.clear();
-                }
-            }
-            // Reverse preorder: children are processed before their parent,
-            // so each parent edge's below-set can union its children's.
-            for idx in (0..self.order.len()).rev() {
-                let (v, pe) = self.order[idx];
-                let Some(pe) = pe else { continue };
-                let mut acc = std::mem::replace(&mut self.below[pe.index()], BitSet::new(0));
-                if let Some(t) = bt.taxon(v) {
-                    acc.insert(t.index());
-                }
-                for &e in bt.adjacent_edges(v) {
-                    if e != pe {
-                        acc.union_with(&self.below[e.index()]);
-                    }
-                }
-                self.below[pe.index()] = acc;
-            }
-            let want = &self.splits[i - 3];
-            let found = bt.edges().find(|e| self.below[e.index()] == *want);
-            let Some(edge) = found else {
-                return Err(P2vError::Internal("attachment split not found"));
+            let mut kids = tree
+                .adjacent_edges(v)
+                .iter()
+                .filter(|&&e| Some(e) != up)
+                .map(|&e| tree.opposite(e, v));
+            let (Some(a), Some(b)) = (kids.next(), kids.next()) else {
+                return Err(P2vError::Internal("internal node without two children"));
             };
-            code[i - 2] = edge.0;
-            bt.insert_leaf_on_edge(taxa[i], edge);
+            let (ma, mb) = (self.slots[a.index()].min, self.slots[b.index()].min);
+            let (min_child, min, creator) = if ma < mb { (a, ma, mb) } else { (b, mb, ma) };
+            // Pointer-jump down the min-child chain: a node with a larger
+            // creator was inserted on the edge above this node's `below`
+            // later, and so was everything between it and its own `below`.
+            // Each chain is jumped over once, so the whole pass is O(n).
+            let mut w = min_child.0;
+            while self.slots[w as usize].creator > creator {
+                w = self.slots[w as usize].below;
+            }
+            self.slots[v.index()] = Slot {
+                min,
+                creator,
+                below: w,
+                top: 0,
+            };
+            match self.created.get_mut(creator as usize) {
+                Some(c) if *c == UNCLAIMED => *c = v.0,
+                _ => return Err(P2vError::Internal("two nodes claim one insertion")),
+            }
+        }
+
+        // Replay the canonical insertions on the `top` labels.
+        self.slots[leaf(taxa[1])?.index()].top = 0;
+        let mut code = Vec::with_capacity(n - 2);
+        for (i, &t) in taxa.iter().enumerate().skip(2) {
+            let v = self.created[i];
+            if v == UNCLAIMED {
+                return Err(P2vError::Internal("no node for an insertion"));
+            }
+            let u = self.slots[v as usize].below as usize;
+            let edge = self.slots[u].top;
+            code.push(edge);
+            // arith: `i < n`, and 2n-3 < 2^32 (see the rank loop above).
+            let far_half = 2 * i as u32 - 3;
+            self.slots[v as usize].top = edge;
+            self.slots[u].top = far_half;
+            // arith: the pendant id is one past the far half, below 2n-3.
+            self.slots[leaf(t)?.index()].top = far_half + 1;
         }
         Ok(TreeVector { taxa, code })
     }
@@ -443,6 +426,53 @@ mod tests {
             let back = reused.decode(taxa.len()).unwrap();
             assert_eq!(to_newick(&back, &taxa), to_newick(&trees[0], &taxa));
         }
+    }
+
+    #[test]
+    fn long_caterpillar_roundtrips_in_linear_time() {
+        // t0 - v2 - ... - v_{n-1} - t1, each t_i inserted on t1's pendant
+        // edge: every min-child chain runs down to t1, so a descent that
+        // walks it node by node without the `below` links is quadratic.
+        let n = 100_000u32;
+        let mut tree = Tree::two_leaf(n as usize, TaxonId(0), TaxonId(1));
+        for i in 2..n {
+            let leaf = tree.leaf(TaxonId(1)).unwrap();
+            let edge = tree.adjacent_edges(leaf)[0];
+            tree.insert_leaf_on_edge(TaxonId(i), edge);
+        }
+        let tv = encode(&tree).unwrap();
+        let want: Vec<u32> = (2..n).map(|i| if i == 2 { 0 } else { 2 * i - 5 }).collect();
+        assert!(tv.code == want, "caterpillar code differs");
+        // The tree was built by canonical insertions, so decoding must
+        // rebuild its arena slot for slot.
+        assert!(tv.decode(n as usize).unwrap().dump_arena() == tree.dump_arena());
+    }
+
+    #[test]
+    fn cyclic_or_disconnected_arenas_are_internal_errors() {
+        let t = TaxonId;
+        // Three internal nodes in a ring, one leaf each: every degree is
+        // binary, but a walk from the t0 leaf never ends.
+        let mut ring = Tree::new(3);
+        let hubs: Vec<NodeId> = (0..3).map(|_| ring.add_node(None)).collect();
+        for i in 0..3 {
+            ring.add_edge(hubs[i], hubs[(i + 1) % 3]);
+            let leaf = ring.add_node(Some(t(i as u32)));
+            ring.add_edge(hubs[i], leaf);
+        }
+        assert!(ring.is_binary_unrooted());
+        assert!(matches!(encode(&ring), Err(P2vError::Internal(_))));
+        // Two disjoint stars: binary degrees, half the nodes unreachable.
+        let mut split = Tree::new(6);
+        for star in [[0, 1, 2], [3, 4, 5]] {
+            let hub = split.add_node(None);
+            for x in star {
+                let leaf = split.add_node(Some(t(x)));
+                split.add_edge(hub, leaf);
+            }
+        }
+        assert!(split.is_binary_unrooted());
+        assert!(matches!(encode(&split), Err(P2vError::Internal(_))));
     }
 
     #[test]

@@ -55,12 +55,29 @@ impl fmt::Debug for EdgeId {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Node {
     alive: bool,
     taxon: Option<TaxonId>,
     /// Incident edges. Order is part of the deterministic state.
     adj: Vec<EdgeId>,
+}
+
+impl Clone for Node {
+    fn clone(&self) -> Self {
+        Node {
+            alive: self.alive,
+            taxon: self.taxon,
+            adj: self.adj.clone(),
+        }
+    }
+
+    /// Reuses `self`'s adjacency buffer when its capacity suffices.
+    fn clone_from(&mut self, source: &Self) {
+        self.alive = source.alive;
+        self.taxon = source.taxon;
+        self.adj.clone_from(&source.adj);
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -196,7 +213,7 @@ fn check_free_list(
 }
 
 /// An unrooted tree over a fixed taxon universe.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Tree {
     universe: usize,
     nodes: Vec<Node>,
@@ -209,6 +226,37 @@ pub struct Tree {
     taxa: BitSet,
     n_nodes: usize,
     n_edges: usize,
+}
+
+impl Clone for Tree {
+    fn clone(&self) -> Self {
+        Tree {
+            universe: self.universe,
+            nodes: self.nodes.clone(),
+            edges: self.edges.clone(),
+            free_nodes: self.free_nodes.clone(),
+            free_edges: self.free_edges.clone(),
+            leaf_of: self.leaf_of.clone(),
+            taxa: self.taxa.clone(),
+            n_nodes: self.n_nodes,
+            n_edges: self.n_edges,
+        }
+    }
+
+    /// Field by field, so a recycled tree (`BatchingSink`'s spare pool)
+    /// keeps every buffer whose capacity suffices, each node's adjacency
+    /// list included, instead of allocating one list per node.
+    fn clone_from(&mut self, source: &Self) {
+        self.universe = source.universe;
+        self.nodes.clone_from(&source.nodes);
+        self.edges.clone_from(&source.edges);
+        self.free_nodes.clone_from(&source.free_nodes);
+        self.free_edges.clone_from(&source.free_edges);
+        self.leaf_of.clone_from(&source.leaf_of);
+        self.taxa.clone_from(&source.taxa);
+        self.n_nodes = source.n_nodes;
+        self.n_edges = source.n_edges;
+    }
 }
 
 impl Tree {
@@ -550,7 +598,9 @@ impl Tree {
 
     /// Returns the nodes reachable from `root` in DFS preorder together with
     /// the edge leading to each (None for the root). Iterative, so deep
-    /// caterpillar trees cannot overflow the stack.
+    /// caterpillar trees cannot overflow the stack. On a cyclic arena the
+    /// walk stops at one entry more than [`Tree::node_count`], so it always
+    /// ends and a caller can tell a tree by the length alone.
     pub fn preorder(&self, root: NodeId) -> Vec<(NodeId, Option<EdgeId>)> {
         let mut order = Vec::with_capacity(self.n_nodes);
         let mut stack = Vec::new();
@@ -571,6 +621,9 @@ impl Tree {
         stack.clear();
         stack.push((root, None));
         while let Some((v, pe)) = stack.pop() {
+            if order.len() > self.n_nodes {
+                break;
+            }
             order.push((v, pe));
             // Reverse so the first adjacency is processed first: makes the
             // preorder deterministic and adjacency-order-respecting.
@@ -584,9 +637,7 @@ impl Tree {
 
     /// Any live node, preferring a leaf (useful as a traversal root).
     pub fn any_leaf(&self) -> Option<NodeId> {
-        self.taxa
-            .min_member()
-            .map(|t| self.leaf_of[t].expect("taxa bitset and leaf_of out of sync"))
+        self.taxa.min_member().and_then(|t| self.leaf_of[t])
     }
 
     // ------------------------------------------------------------------
@@ -648,10 +699,12 @@ impl Tree {
                     self.n_nodes, self.n_edges
                 )));
             }
-            let root = self
-                .node_ids()
-                .next()
-                .expect("n_nodes > 0 but no live node");
+            let Some(root) = self.node_ids().next() else {
+                return Err(TreeError::NotATree(format!(
+                    "{} nodes counted but none alive",
+                    self.n_nodes
+                )));
+            };
             let reached = self.preorder(root).len();
             if reached != self.n_nodes {
                 return Err(TreeError::NotATree(format!(
@@ -978,6 +1031,17 @@ mod tests {
             tree.validate(),
             Err(TreeError::NotATree(_)) | Err(TreeError::BadLabels(_))
         ));
+        // A triangle beside a separate edge has |E| = |V| - 1, so only the
+        // walk can see the cycle, and it must end instead of looping.
+        let mut tree = Tree::new(4);
+        let tri: Vec<NodeId> = (0..3).map(|_| tree.add_node(None)).collect();
+        for i in 0..3 {
+            tree.add_edge(tri[i], tri[(i + 1) % 3]);
+        }
+        let (c, d) = (tree.add_node(Some(t(0))), tree.add_node(Some(t(1))));
+        tree.add_edge(c, d);
+        assert_eq!(tree.preorder(tri[0]).len(), tree.node_count() + 1);
+        assert!(matches!(tree.validate(), Err(TreeError::NotATree(_))));
     }
 
     #[test]
@@ -1056,6 +1120,60 @@ mod tests {
         d.edges[live_edge].alive = false;
         d.free_edges.insert(0, live_edge as u32);
         assert!(Tree::from_arena_dump(&d).is_err());
+    }
+
+    #[test]
+    fn clone_from_recycles_buffers_and_behaves_like_a_fresh_clone() {
+        // Source: universe 12, with dead slots on both free lists.
+        let mut src = Tree::three_leaf(12, t(0), t(1), t(2));
+        let e0 = src.edges().next().unwrap();
+        let i3 = src.insert_leaf_on_edge(t(3), e0);
+        let i4 = src.insert_leaf_on_edge(t(4), i3.far_half);
+        let i5 = src.insert_leaf_on_edge(t(5), i4.pendant);
+        src.remove_insertion(&i5);
+        // Target: another universe and a larger, differently shaped arena,
+        // so every buffer it holds is big enough to take the source.
+        let mut dst = Tree::three_leaf(40, t(7), t(8), t(9));
+        for x in 10..30 {
+            let e = dst.edges().nth(x % dst.edge_count()).unwrap();
+            dst.insert_leaf_on_edge(t(x as u32), e);
+        }
+        let adj_bufs: Vec<(*const EdgeId, usize)> = dst
+            .nodes
+            .iter()
+            .map(|n| (n.adj.as_ptr(), n.adj.capacity()))
+            .collect();
+        let nodes_buf = dst.nodes.as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst.dump_arena(), src.dump_arena());
+        assert_eq!(dst.universe(), 12);
+        assert_eq!(dst.taxa(), src.taxa());
+        assert_eq!(dst.arena_fingerprint(), src.arena_fingerprint());
+        assert_eq!(dst.nodes.as_ptr(), nodes_buf, "node slots reused");
+        for (node, &(ptr, cap)) in dst.nodes.iter().zip(&adj_bufs) {
+            if cap >= node.adj.len() {
+                assert_eq!(node.adj.as_ptr(), ptr, "adjacency buffer reused");
+            }
+        }
+        // Later edits hand out the same ids as on a fresh clone.
+        let mut fresh = src.clone();
+        for tree in [&mut dst, &mut fresh] {
+            tree.validate().unwrap();
+        }
+        let a = dst.insert_leaf_on_edge(t(6), i4.far_half);
+        let b = fresh.insert_leaf_on_edge(t(6), i4.far_half);
+        assert_eq!(a, b);
+        let a2 = dst.insert_leaf_on_edge(t(11), a.pendant);
+        let b2 = fresh.insert_leaf_on_edge(t(11), b.pendant);
+        assert_eq!(a2, b2);
+        dst.remove_insertion(&a2);
+        fresh.remove_insertion(&b2);
+        assert_eq!(dst.dump_arena(), fresh.dump_arena());
+        // Recycling into a smaller tree grows it to the same state.
+        let mut small = Tree::two_leaf(3, t(0), t(1));
+        small.clone_from(&dst);
+        assert_eq!(small.dump_arena(), dst.dump_arena());
+        small.validate().unwrap();
     }
 
     #[test]

@@ -246,13 +246,42 @@ proptest! {
     }
 
     #[test]
-    fn phylo2vec_roundtrip_matches_newick_roundtrip(seed in 0u64..1_000_000, n in 3usize..40) {
+    fn phylo2vec_roundtrip_matches_newick_roundtrip(
+        seed in 0u64..1_000_000,
+        n in 3usize..40,
+        holes in 0usize..6,
+        sparse in proptest::bool::ANY,
+    ) {
+        use phylo::generate::random_tree;
         use phylo::newick::{parse_newick, to_newick};
         use phylo::phylo2vec;
-        use phylo::taxa::TaxonSet;
+        use phylo::taxa::{TaxonId, TaxonSet};
+        use rand::seq::SliceRandom;
+        use rand::Rng;
         let model = if seed % 2 == 0 { ShapeModel::Uniform } else { ShapeModel::Yule };
-        let tree = random_tree_on_n(n, model, &mut ChaCha8Rng::seed_from_u64(seed));
-        let taxa = TaxonSet::with_synthetic(n);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        // Sparse draws take their taxon ids from a universe three times
+        // larger, in shuffled order, so the insertion order, the arena's
+        // node order and the id order all differ.
+        let universe = if sparse { 3 * n + holes } else { n + holes };
+        let mut ids: Vec<TaxonId> = (0..universe as u32).map(TaxonId).collect();
+        if sparse {
+            ids.shuffle(&mut rng);
+        }
+        let (present, rest) = ids.split_at(n);
+        let mut tree = random_tree(universe, present, model, &mut rng);
+        // Arena holes: extra taxa inserted, then removed, leave dead slots
+        // on both free lists.
+        let mut undo = Vec::new();
+        for &x in &rest[..holes] {
+            let edges: Vec<_> = tree.edges().collect();
+            undo.push(tree.insert_leaf_on_edge(x, edges[rng.gen_range(0..edges.len())]));
+        }
+        for ins in undo.iter().rev() {
+            tree.remove_insertion(ins);
+        }
+        prop_assert_eq!(tree.node_id_bound(), tree.node_count() + 2 * holes);
+        let taxa = TaxonSet::with_synthetic(universe);
         let nwk = to_newick(&tree, &taxa);
 
         // encode ∘ decode ≡ id, where identity is judged by the canonical
@@ -263,7 +292,7 @@ proptest! {
         for (j, &c) in tv.code.iter().enumerate() {
             prop_assert!(c < 2 * j as u32 + 1, "code[{}] = {} out of bound", j, c);
         }
-        let back = tv.decode(n).expect("own code decodes");
+        let back = tv.decode(universe).expect("own code decodes");
         prop_assert_eq!(to_newick(&back, &taxa), nwk.clone());
 
         // The codec agrees with the Newick round-trip: parsing the string
@@ -303,7 +332,7 @@ proptest! {
 
     #[test]
     fn phylo2vec_every_valid_code_is_a_tree(
-        picks in proptest::collection::vec(0u32..u32::MAX, 1..30),
+        picks in proptest::collection::vec(0u32..u32::MAX, 1..299),
     ) {
         use phylo::phylo2vec;
         use phylo::taxa::TaxonId;

@@ -268,6 +268,8 @@ impl ContainerWriter {
 struct RawBlock {
     bytes: Vec<u8>,
     trees: u64,
+    /// Position in `bytes` of the first tree's delta.
+    body: usize,
 }
 
 /// Random-access reader over a finished `.stand` file.
@@ -281,6 +283,8 @@ pub struct Container {
     code_len: usize,
     index: Vec<BlockEntry>,
     total: u64,
+    /// File offset of the footer: every block must end at or before it.
+    footer_start: u64,
     /// `(block index, decoded codes)` of the last block touched.
     cache: Option<(usize, Vec<Vec<u32>>)>,
 }
@@ -362,6 +366,15 @@ impl Container {
         let mut pos = 0usize;
         let blocks = read_u64(&footer, &mut pos)
             .ok_or_else(|| format_err(footer_start, "truncated footer (block count)"))?;
+        // Each index entry takes at least two varint bytes, so the count
+        // is bounded by the footer bytes left before anything is allocated.
+        let room = (footer.len() - pos) / 2;
+        if blocks > room as u64 {
+            return Err(format_err(
+                footer_start,
+                format!("footer claims {blocks} blocks but has room for at most {room}"),
+            ));
+        }
         let mut index = Vec::with_capacity(blocks as usize);
         let mut first = 0u64;
         for b in 0..blocks {
@@ -376,7 +389,12 @@ impl Container {
                 first,
                 trees,
             });
-            first += trees;
+            first = first.checked_add(trees).ok_or_else(|| {
+                format_err(
+                    footer_start,
+                    format!("footer tree counts overflow at block {b}"),
+                )
+            })?;
         }
         let total = read_u64(&footer, &mut pos)
             .ok_or_else(|| format_err(footer_start, "truncated footer (total)"))?;
@@ -392,6 +410,7 @@ impl Container {
             code_len: (n as usize).saturating_sub(2),
             index,
             total,
+            footer_start,
             cache: None,
         })
     }
@@ -426,15 +445,35 @@ impl Container {
         self.taxa.iter().map(|(_, n)| n.to_string()).collect()
     }
 
-    fn read_framed_block(&mut self, offset: u64) -> Result<RawBlock, StandfileError> {
+    /// The framed bytes of block `i`, verbatim (for merge copies), after
+    /// checking its two lengths against the bytes that hold them: the
+    /// payload must end at or before the footer, which bounds the
+    /// allocation by the file size, and the tree count must fit the
+    /// payload (every tree takes at least its two `shared`/`tail` varint
+    /// bytes) and agree with the index.
+    fn raw_block(&mut self, i: usize) -> Result<RawBlock, StandfileError> {
+        let entry = *self
+            .index
+            .get(i)
+            .ok_or_else(|| format_err(0, format!("block {i} out of range")))?;
+        let offset = entry.offset;
         self.file.seek(SeekFrom::Start(offset))?;
         // The length prefix is at most 10 bytes; read a small window first.
         let mut prefix = [0u8; 10];
         let got = read_up_to(&mut self.file, &mut prefix)?;
         let mut pos = 0usize;
         let payload_len = read_u64(&prefix[..got], &mut pos)
-            .ok_or_else(|| format_err(offset, "truncated block length"))?
-            as usize;
+            .ok_or_else(|| format_err(offset, "truncated block length"))?;
+        let room = self
+            .footer_start
+            .saturating_sub(offset.saturating_add(pos as u64));
+        if payload_len > room {
+            return Err(format_err(
+                offset,
+                format!("block {i} length {payload_len} runs past the footer ({room} bytes left)"),
+            ));
+        }
+        let payload_len = payload_len as usize;
         let mut bytes = Vec::with_capacity(pos + payload_len);
         bytes.extend_from_slice(&prefix[..pos]);
         bytes.resize(pos + payload_len, 0);
@@ -445,58 +484,49 @@ impl Container {
                 .seek(SeekFrom::Start(offset + (pos + already) as u64))?;
             self.file.read_exact(&mut bytes[pos + already..])?;
         }
-        let mut p = pos;
-        let trees = read_u64(&bytes, &mut p)
+        let trees = read_u64(&bytes, &mut pos)
             .ok_or_else(|| format_err(offset, "truncated block tree count"))?;
-        Ok(RawBlock { bytes, trees })
-    }
-
-    /// The framed bytes of block `i`, verbatim (for merge copies).
-    fn raw_block(&mut self, i: usize) -> Result<RawBlock, StandfileError> {
-        let entry = *self
-            .index
-            .get(i)
-            .ok_or_else(|| format_err(0, format!("block {i} out of range")))?;
-        let raw = self.read_framed_block(entry.offset)?;
-        if raw.trees != entry.trees {
+        let room = (bytes.len() - pos) / 2;
+        if trees > room as u64 {
             return Err(format_err(
-                entry.offset,
+                offset,
+                format!("block {i} claims {trees} trees but has room for at most {room}"),
+            ));
+        }
+        if trees != entry.trees {
+            return Err(format_err(
+                offset,
                 format!(
-                    "block {i} holds {} trees but the index says {}",
-                    raw.trees, entry.trees
+                    "block {i} holds {trees} trees but the index says {}",
+                    entry.trees
                 ),
             ));
         }
-        Ok(raw)
+        Ok(RawBlock {
+            bytes,
+            trees,
+            body: pos,
+        })
     }
 
     /// Decodes block `i` into full (un-deltaed) codes, via the cache.
     fn block_codes(&mut self, i: usize) -> Result<&[Vec<u32>], StandfileError> {
         if self.cache.as_ref().map(|(b, _)| *b) != Some(i) {
-            let entry = *self
-                .index
-                .get(i)
-                .ok_or_else(|| format_err(0, format!("block {i} out of range")))?;
-            let raw = self.read_framed_block(entry.offset)?;
-            let data = &raw.bytes;
-            let mut pos = 0usize;
-            // Skip the frame length and the tree count (already known).
-            read_u64(data, &mut pos)
-                .ok_or_else(|| format_err(entry.offset, "truncated block length"))?;
-            let count = read_u64(data, &mut pos)
-                .ok_or_else(|| format_err(entry.offset, "truncated block tree count"))?;
+            let raw = self.raw_block(i)?;
+            let (data, count, offset) = (&raw.bytes, raw.trees, self.index[i].offset);
+            let mut pos = raw.body;
             let mut codes: Vec<Vec<u32>> = Vec::with_capacity(count as usize);
             let mut prev: Vec<u32> = Vec::new();
             for t in 0..count {
-                let shared = read_u64(data, &mut pos).ok_or_else(|| {
-                    format_err(entry.offset, format!("truncated tree {t} (shared)"))
-                })? as usize;
-                let tail = read_u64(data, &mut pos)
-                    .ok_or_else(|| format_err(entry.offset, format!("truncated tree {t} (tail)")))?
+                let shared = read_u64(data, &mut pos)
+                    .ok_or_else(|| format_err(offset, format!("truncated tree {t} (shared)")))?
                     as usize;
-                if shared > prev.len() || shared + tail != self.code_len {
+                let tail = read_u64(data, &mut pos)
+                    .ok_or_else(|| format_err(offset, format!("truncated tree {t} (tail)")))?
+                    as usize;
+                if shared > prev.len() || shared.checked_add(tail) != Some(self.code_len) {
                     return Err(format_err(
-                        entry.offset,
+                        offset,
                         format!(
                             "tree {t} delta (shared {shared} + tail {tail}) does not \
                              rebuild a {}-entry code",
@@ -508,10 +538,10 @@ impl Container {
                 code.extend_from_slice(&prev[..shared]);
                 for e in 0..tail {
                     let v = read_u64(data, &mut pos).ok_or_else(|| {
-                        format_err(entry.offset, format!("truncated tree {t} entry {e}"))
+                        format_err(offset, format!("truncated tree {t} entry {e}"))
                     })?;
                     let v = u32::try_from(v).map_err(|_| {
-                        format_err(entry.offset, format!("tree {t} entry {e} exceeds u32"))
+                        format_err(offset, format!("tree {t} entry {e} exceeds u32"))
                     })?;
                     code.push(v);
                 }

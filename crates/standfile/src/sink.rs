@@ -17,8 +17,8 @@ use std::path::Path;
 /// through an infallible `Fn(usize) -> S` factory: creation and encoding
 /// errors are captured internally, further trees are dropped once an error
 /// is latched, and the first error is surfaced by [`ContainerSink::finish`].
-/// Wrap in `BatchingSink` on the parallel path so encoding happens off the
-/// per-state hot loop.
+/// The parallel path wraps it in `BatchingSink`, which hands it trees in
+/// bursts from recycled buffers; encoding still runs on the worker thread.
 pub struct ContainerSink {
     writer: Option<ContainerWriter>,
     encoder: Encoder,

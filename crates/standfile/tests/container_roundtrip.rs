@@ -233,6 +233,130 @@ fn open_rejects_garbage_and_truncation() {
     std::fs::remove_file(&path).ok();
 }
 
+/// LEB128, as the container writes its integers.
+fn varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v & 0x7f) as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A container made of `header`, then `blocks`, then a footer of the
+/// `footer` varints and the fixed trailer pointing at them.
+fn craft(header: &[u8], blocks: &[u8], footer: &[u64]) -> Vec<u8> {
+    let mut f = header.to_vec();
+    f.extend_from_slice(blocks);
+    let footer_start = f.len() as u64;
+    for &v in footer {
+        varint(&mut f, v);
+    }
+    f.extend_from_slice(&footer_start.to_le_bytes());
+    f.extend_from_slice(gentrius_standfile::container::END_MAGIC);
+    f
+}
+
+/// One framed block holding the trees given as raw `(shared, tail,
+/// entries)` deltas, with an explicit tree count.
+fn framed(count: u64, deltas: &[(u64, u64, &[u64])]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    varint(&mut payload, count);
+    for &(shared, tail, entries) in deltas {
+        varint(&mut payload, shared);
+        varint(&mut payload, tail);
+        for &e in entries {
+            varint(&mut payload, e);
+        }
+    }
+    let mut block = Vec::new();
+    varint(&mut block, payload.len() as u64);
+    block.extend_from_slice(&payload);
+    block
+}
+
+/// Every length the reader takes from the file is bounded by the bytes
+/// that hold it: each crafted file below used to abort the process on a
+/// huge allocation, overflow a sum, or (the last) panic under overflow
+/// checks, and must now fail with a typed format error naming the defect.
+#[test]
+fn hostile_lengths_fail_closed() {
+    // The header of an empty 6-taxon container (tree codes have 4 entries).
+    let taxa = TaxonSet::with_synthetic(6);
+    let path = tmp("hostile-lengths.stand");
+    ContainerWriter::create(&path, &taxa)
+        .expect("create")
+        .finish()
+        .expect("finish");
+    let empty = std::fs::read(&path).expect("read");
+    let mut trailer = [0u8; 8];
+    trailer.copy_from_slice(&empty[empty.len() - 16..empty.len() - 8]);
+    let header = &empty[..u64::from_le_bytes(trailer) as usize];
+    let at = header.len() as u64;
+    let one_tree = framed(1, &[(0, 4, &[0, 0, 0, 0])]);
+
+    let mut huge_block = Vec::new();
+    varint(&mut huge_block, 1 << 44);
+    huge_block.extend_from_slice(&[1, 0, 4, 0, 0, 0, 0]);
+    let rows: Vec<(&str, Vec<u8>, &str)> = vec![
+        (
+            "block count 2^40",
+            craft(header, &[], &[1 << 40, 0]),
+            "footer claims 1099511627776 blocks",
+        ),
+        (
+            "block count 2^63-1",
+            craft(header, &[], &[i64::MAX as u64, 0]),
+            "footer claims 9223372036854775807 blocks",
+        ),
+        (
+            "block counts wrap past u64::MAX",
+            craft(header, &one_tree, &[2, at, u64::MAX, at, 2, 1]),
+            "footer tree counts overflow at block 1",
+        ),
+        (
+            "block length 2^44",
+            craft(header, &huge_block, &[1, at, 1, 1]),
+            "block 0 length 17592186044416 runs past the footer",
+        ),
+        (
+            "block tree count 2^40",
+            craft(
+                header,
+                &framed(1 << 40, &[(0, 4, &[0, 0, 0, 0])]),
+                &[1, at, 1 << 40, 1 << 40],
+            ),
+            "block 0 claims 1099511627776 trees but has room for at most 3",
+        ),
+        (
+            "block tree count disagrees with the index",
+            craft(header, &one_tree, &[1, at, 2, 2]),
+            "block 0 holds 1 trees but the index says 2",
+        ),
+        (
+            "delta tail overflows",
+            craft(
+                header,
+                &framed(2, &[(0, 4, &[0, 0, 0, 0]), (1, u64::MAX, &[])]),
+                &[1, at, 2, 2],
+            ),
+            "tree 1 delta",
+        ),
+    ];
+    for (name, bytes, want) in rows {
+        std::fs::write(&path, &bytes).expect("write");
+        let err = Container::open(&path)
+            .and_then(|mut c| c.for_each_newick(0, u64::MAX, |_, _| Ok(())))
+            .expect_err(name);
+        match err {
+            StandfileError::Format { msg, .. } => {
+                assert!(msg.contains(want), "{name}: got '{msg}', want '{want}'")
+            }
+            other => panic!("{name}: not a format error: {other}"),
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn out_of_bounds_and_wrong_universe_are_typed_errors() {
     let (taxa, trees, _) = random_trees(6, 5, 9);
