@@ -3,9 +3,10 @@
 //! The paper's Valgrind profile attributes 15–30% of total runtime to
 //! updating the double-edge mappings on taxon insertion/removal, and lists
 //! redesigning them as future work. Our two mapping engines span that
-//! design space: `Recompute` rebuilds projections per state, `Incremental`
-//! patches them per edit (the paper's approach). This bench measures real
-//! wall-clock state throughput for both on several instances.
+//! design space: `Recompute` rebuilds projections per state, `EdgeIndexed`
+//! keeps flat labels and relabels only the preimage of the common-subtree
+//! edge each insertion splits. This bench measures real wall-clock state
+//! throughput for both on several instances.
 
 use gentrius_bench::banner;
 use gentrius_core::{CountOnly, GentriusConfig, MappingMode, StoppingRules};
@@ -34,29 +35,29 @@ fn run(dataset: &Dataset, mapping: MappingMode) -> (f64, u64) {
 fn main() {
     banner(
         "E10",
-        "§V: mapping-maintenance cost (recompute vs incremental engines)",
-        "incremental maintenance edges out per-state recomputation once \
-         unqueried updates are skipped; the gap is the mapping-maintenance \
-         share of runtime the paper profiles at 15-30%",
+        "§V: mapping-maintenance cost (recompute vs edge-indexed engines)",
+        "insertion-local label maintenance beats per-state recomputation; \
+         the gap is the mapping-maintenance share of runtime the paper \
+         profiles at 15-30%",
     );
     let datasets = [heuristics_showcase(), long_runner(0), long_runner(2)];
     println!(
         "\n{:<18} {:>8} {:>12} {:>12} {:>12} {:>12} {:>9}",
-        "dataset", "events", "recomp (s)", "incr (s)", "recomp ev/s", "incr ev/s", "speedup"
+        "dataset", "events", "recomp (s)", "edge (s)", "recomp ev/s", "edge ev/s", "speedup"
     );
     for d in &datasets {
         let (tr, ev) = run(d, MappingMode::Recompute);
-        let (ti, ev2) = run(d, MappingMode::Incremental);
+        let (te, ev2) = run(d, MappingMode::EdgeIndexed);
         assert_eq!(ev, ev2, "engines must traverse the same tree");
         println!(
             "{:<18} {:>8} {:>12.3} {:>12.3} {:>12.0} {:>12.0} {:>8.2}x",
             d.name,
             ev,
             tr,
-            ti,
+            te,
             ev as f64 / tr,
-            ev as f64 / ti,
-            tr / ti
+            ev as f64 / te,
+            tr / te
         );
     }
     println!();

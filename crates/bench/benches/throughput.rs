@@ -1,7 +1,7 @@
 //! Throughput — enumeration rates across the mapping kernels.
 //!
-//! Measures states/sec and dead-ends/sec for every mapping engine
-//! (`Recompute`, `Incremental`, `EdgeIndexed`) on the seeded simulated
+//! Measures states/sec and dead-ends/sec for both mapping engines
+//! (`Recompute`, `EdgeIndexed`) on the seeded simulated
 //! instances and the crafted caterpillar blow-up, serially and through the
 //! parallel engine at 1/2/4/8 threads, and writes the whole grid to
 //! `BENCH_5.json` (override the path with `BENCH5_OUT`) via the
@@ -34,11 +34,7 @@ use gentrius_datagen::scenario::{
 use gentrius_parallel::obs::json::{self, JsonWriter};
 use gentrius_parallel::{run_parallel, FlushThresholds, ParallelConfig};
 
-const MODES: [MappingMode; 3] = [
-    MappingMode::Recompute,
-    MappingMode::Incremental,
-    MappingMode::EdgeIndexed,
-];
+const MODES: [MappingMode; 2] = [MappingMode::Recompute, MappingMode::EdgeIndexed];
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const SERIAL_REPS: usize = 3;
 const SPEEDUP_GATE: f64 = 1.5;
@@ -232,7 +228,6 @@ fn main() {
                         let base = recompute_rate.expect("Recompute measured first");
                         gate_speedup = Some(serial.states_per_sec() / base);
                     }
-                    MappingMode::Incremental => {}
                 }
             }
 

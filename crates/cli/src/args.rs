@@ -108,7 +108,7 @@ mod tests {
 
     fn parse(v: &[&str]) -> ParsedArgs {
         let owned: Vec<String> = v.iter().map(|s| s.to_string()).collect();
-        ParsedArgs::parse(&owned, &["verbose", "incremental"]).unwrap()
+        ParsedArgs::parse(&owned, &["verbose"]).unwrap()
     }
 
     #[test]

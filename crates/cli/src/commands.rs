@@ -2,7 +2,7 @@
 //! (plus optional file side effects) so the logic is directly testable.
 
 use crate::args::ParsedArgs;
-use gentrius_core::state::StateSnapshot;
+use gentrius_core::state::{SearchState, StateSnapshot};
 use gentrius_core::{
     canonical_stand_set, BatchingSink, CollectNewick, GentriusConfig, InitialTreeRule, MappingMode,
     RunStats, StandProblem, StopCause, StoppingRules, TaxonOrderRule,
@@ -58,7 +58,7 @@ USAGE:
   gentrius stand   --trees FILE | (--species FILE --pam FILE)
                    [--threads N] [--max-trees N] [--max-states N] [--max-hours H]
                    [--no-dynamic] [--initial-tree IDX]
-                   [--mapping recompute|incremental|edge-indexed]
+                   [--mapping recompute|edge-indexed]
                    [--print-trees] [--output FILE[.stand]] [--max-collect N]
                    [--metrics-json FILE] [--trace-json FILE]
                    [--no-adaptive-split] [--stop-poll-stride N]
@@ -196,6 +196,9 @@ fn load_problem(a: &ParsedArgs) -> Result<(TaxonSet, StandProblem), CliError> {
 }
 
 fn config_from(a: &ParsedArgs) -> Result<GentriusConfig, CliError> {
+    if a.has("incremental") {
+        return err("--incremental: the incremental engine was removed; use --mapping");
+    }
     let defaults = StoppingRules::paper_defaults();
     let max_trees = a
         .get_parsed("max-trees", defaults.max_stand_trees.unwrap())
@@ -226,8 +229,6 @@ fn config_from(a: &ParsedArgs) -> Result<GentriusConfig, CliError> {
             max_time: Some(Duration::from_secs_f64(max_hours * 3600.0)),
         },
         mapping: match a.get("mapping") {
-            // `--incremental` predates `--mapping` and is kept as an alias.
-            None if a.has("incremental") => MappingMode::Incremental,
             None => MappingMode::default(),
             Some(v) => v.parse::<MappingMode>().map_err(CliError)?,
         },
@@ -387,10 +388,12 @@ fn build_checkpoint(
 
 /// Rebuilds the problem, config and pending tasks from a decoded
 /// checkpoint. Every reconstructed snapshot is re-validated against the
-/// reconstructed problem ([`StateSnapshot::from_parts`]), so a checkpoint
+/// reconstructed problem ([`StateSnapshot::from_parts`]) and every task's
+/// branches against its snapshot ([`checked_branches`]), so a checkpoint
 /// that passed the checksum but carries an inconsistent frontier — a task
-/// tree with the wrong taxa, or one that conflicts with a constraint — is
-/// rejected with an error rather than enumerating wrong stands.
+/// tree with the wrong taxa, one that conflicts with a constraint, or a
+/// branch the search would never take — is rejected with an error rather
+/// than enumerating wrong stands.
 fn restore_checkpoint(
     c: &Checkpoint,
 ) -> Result<(TaxonSet, StandProblem, GentriusConfig, Vec<Task>), CliError> {
@@ -428,7 +431,7 @@ fn restore_checkpoint(
         if !t.branches.is_empty() && !snap.remaining().contains(&TaxonId(t.taxon)) {
             return Err(bad(format!("pending taxon {} is not remaining", t.taxon)));
         }
-        let branches: Vec<EdgeId> = t.branches.iter().map(|&x| EdgeId(x)).collect();
+        let branches = checked_branches(&problem, &snap, t).map_err(bad)?;
         tasks.push(Task::new(
             snap,
             TaxonId(t.taxon),
@@ -437,6 +440,43 @@ fn restore_checkpoint(
         ));
     }
     Ok((taxa, problem, config, tasks))
+}
+
+/// A checkpoint task's branches, each required to be a distinct live edge
+/// of the restored tree that the restored state admits for the task
+/// taxon. Otherwise an out-of-range id would index past the tree arena, a
+/// freed slot would be rewired, a repeat would enumerate a subtree twice,
+/// and an inadmissible edge would enumerate trees outside the stand.
+fn checked_branches(
+    problem: &StandProblem,
+    snap: &StateSnapshot,
+    t: &CkptTask,
+) -> Result<Vec<EdgeId>, String> {
+    if t.branches.is_empty() {
+        return Ok(Vec::new());
+    }
+    let tree = snap.agile();
+    let admissible =
+        SearchState::resume(problem, snap.clone()).admissible_branches(TaxonId(t.taxon));
+    let mut seen = vec![false; tree.edge_id_bound()];
+    for &id in &t.branches {
+        let e = EdgeId(id);
+        if !tree.edge_alive(e) {
+            return Err(format!(
+                "branch edge {id} is not a live edge of the task tree"
+            ));
+        }
+        if std::mem::replace(&mut seen[e.index()], true) {
+            return Err(format!("branch edge {id} is listed twice"));
+        }
+        if admissible.binary_search(&e).is_err() {
+            return Err(format!(
+                "branch edge {id} is not admissible for taxon {}",
+                t.taxon
+            ));
+        }
+    }
+    Ok(t.branches.iter().map(|&x| EdgeId(x)).collect())
 }
 
 /// Seed state for [`run_stand_epochs`]: where the run picks up.
@@ -1498,14 +1538,17 @@ mod tests {
                 .unwrap()
                 .to_string()
         };
-        for mode in ["recompute", "incremental", "edge-indexed"] {
+        for mode in ["recompute", "edge-indexed"] {
             let out = run_strs(&["stand", "--trees", path, "--mapping", mode]).unwrap();
             assert!(out.contains(&format!("mapping: {mode}")), "{out}");
             assert_eq!(grab(&out), grab(&default), "mode {mode}");
         }
-        // Legacy alias still works and still means incremental.
-        let legacy = run_strs(&["stand", "--trees", path, "--incremental"]).unwrap();
-        assert!(legacy.contains("mapping: incremental"), "{legacy}");
+        // The incremental engine is gone, and so is its legacy flag.
+        for removed in [&["--mapping", "incremental"][..], &["--incremental"]] {
+            let args = [&["stand", "--trees", path][..], removed].concat();
+            let e = run_strs(&args).unwrap_err();
+            assert!(e.to_string().contains("incremental"), "{e}");
+        }
         assert!(run_strs(&["stand", "--trees", path, "--mapping", "hash"]).is_err());
     }
 
@@ -2195,9 +2238,27 @@ mod tests {
         // completed container behind.
         let _ = std::fs::remove_file(&cont);
         let _ = std::fs::remove_file(&ckpt);
-        // ~36 ms budget on a ~0.2 s (debug) instance: the time limit
-        // fires mid-run and the frontier lands in the checkpoint instead
-        // of being lost.
+        // A clean run first: its container is the reference at the end,
+        // and its wall time sets the budget. An eighth of this host's own
+        // run time fires the time limit mid-run under any build profile
+        // on any host (every counter flush checks the clock, and this
+        // tree-rich instance flushes about two dozen times per run), so
+        // the frontier lands in the checkpoint instead of being lost;
+        // each resume slice then gets the same eighth, so the resume loop
+        // ends after a handful of slices.
+        let clean = dir.join("cktime-clean.stand");
+        let started = Instant::now();
+        run_strs(&[
+            "stand",
+            "--trees",
+            path,
+            "--threads",
+            "2",
+            "--output",
+            clean.to_str().unwrap(),
+        ])
+        .unwrap();
+        let budget_hours = started.elapsed().as_secs_f64() / 8.0 / 3600.0;
         let out = run_strs(&[
             "stand",
             "--trees",
@@ -2209,7 +2270,7 @@ mod tests {
             "--checkpoint-every",
             "10",
             "--max-hours",
-            "0.00001",
+            &budget_hours.to_string(),
         ])
         .unwrap();
         assert!(out.contains("stopped: time limit"), "{out}");
@@ -2243,18 +2304,7 @@ mod tests {
         assert!(!ckpt.exists(), "checkpoint must be retired on completion");
         assert!(cont.exists());
 
-        // The stitched-together container equals a clean run's.
-        let clean = dir.join("cktime-clean.stand");
-        run_strs(&[
-            "stand",
-            "--trees",
-            path,
-            "--threads",
-            "2",
-            "--output",
-            clean.to_str().unwrap(),
-        ])
-        .unwrap();
+        // The stitched-together container equals the clean run's.
         let sort_lines = |s: String| {
             let mut v: Vec<String> = s.lines().map(str::to_string).collect();
             v.sort();

@@ -4,7 +4,7 @@
 //! engine verification — checking observable behaviour only (stdout, exit
 //! codes, files).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn gentrius() -> Command {
@@ -380,12 +380,11 @@ fn induced_pipes_into_stand() {
     assert!(n >= 1);
 }
 
-/// A sidecar whose checksum is valid but whose task tree has two leaf
-/// labels swapped holds a state the search never reaches: the task tree
-/// disagrees with a constraint on their common taxa. `stand resume` must
-/// refuse it with the typed conflict error instead of enumerating from it.
-#[test]
-fn resume_rejects_task_tree_that_conflicts_with_a_constraint() {
+/// A checksum-valid sidecar for the root state of `newicks`, with one
+/// pending task: the taxon the search selects first and its admissible
+/// branches. One insertion is made and undone first, so the task tree's
+/// arena holds freed edge slots; returns the freed pendant's id too.
+fn root_checkpoint(newicks: &[&str], name: &str) -> (gentrius_standfile::Checkpoint, u32) {
     use gentrius_core::state::SearchState;
     use gentrius_core::{GentriusConfig, RunStats, StandProblem};
     use gentrius_standfile::ckpt::problem_hash;
@@ -393,19 +392,20 @@ fn resume_rejects_task_tree_that_conflicts_with_a_constraint() {
     use phylo::newick::parse_forest;
     use phylo::taxa::TaxonId;
 
-    let newicks = ["((A,B),(C,D));", "((C,D),(E,F));"];
-    let (taxa, trees) = parse_forest(newicks).unwrap();
+    let (taxa, trees) = parse_forest(newicks.iter().copied()).unwrap();
     let problem = StandProblem::from_constraints(trees).unwrap();
     let config = GentriusConfig::default();
     let mut state = SearchState::new(&problem, 0, &config.taxon_order).unwrap();
     state.enable_mapping(config.mapping);
     let next = state.select_next().expect("taxa remain");
+    let step = state.apply(next.taxon, next.branches[0]);
+    state.undo(&step);
     let snapshot = state.snapshot();
     let names: Vec<String> = (0..taxa.len())
         .map(|i| taxa.name(TaxonId(i as u32)).to_string())
         .collect();
     let constraints: Vec<String> = newicks.iter().map(|s| s.to_string()).collect();
-    let output = tmp("conflict.stand");
+    let output = tmp(&format!("{name}.stand"));
     let _ = std::fs::remove_file(&output);
     let checkpoint = Checkpoint {
         problem_hash: problem_hash(&names, &constraints),
@@ -428,6 +428,28 @@ fn resume_rejects_task_tree_that_conflicts_with_a_constraint() {
             tree: snapshot.agile().dump_arena(),
         }],
     };
+    (checkpoint, step.ins.pendant.0)
+}
+
+/// Writes `checkpoint` as a sidecar, runs `stand resume` on it and
+/// returns stderr, requiring the resume to fail.
+fn resume_fails(checkpoint: &gentrius_standfile::Checkpoint, sidecar: &Path) -> String {
+    checkpoint.write_atomic(sidecar).unwrap();
+    let out = gentrius()
+        .args(["stand", "resume", sidecar.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success(), "a hostile sidecar must not resume");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// A sidecar whose checksum is valid but whose task tree has two leaf
+/// labels swapped holds a state the search never reaches: the task tree
+/// disagrees with a constraint on their common taxa. `stand resume` must
+/// refuse it with the typed conflict error instead of enumerating from it.
+#[test]
+fn resume_rejects_task_tree_that_conflicts_with_a_constraint() {
+    let (checkpoint, _) = root_checkpoint(&["((A,B),(C,D));", "((C,D),(E,F));"], "conflict");
 
     // Control: the faithful sidecar resumes to completion.
     let sidecar = tmp("conflict.standckpt");
@@ -449,18 +471,64 @@ fn resume_rejects_task_tree_that_conflicts_with_a_constraint() {
     let (a, c) = (find(nodes, 0), find(nodes, 2));
     nodes[a].taxon = Some(2);
     nodes[c].taxon = Some(0);
-    swapped.write_atomic(&sidecar).unwrap();
-    let out = gentrius()
-        .args(["stand", "resume", sidecar.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(
-        !out.status.success(),
-        "a conflicting task tree must not resume"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = resume_fails(&swapped, &sidecar);
     assert!(
         stderr.contains("checkpoint task 1: agile tree conflicts with constraint 0"),
         "{stderr}"
     );
+}
+
+/// Checksum-valid sidecars whose task branches the search would never
+/// take: an id past the arena, a freed edge slot, a repeated edge, and a
+/// live edge the state does not admit for the task taxon. Each must fail
+/// `stand resume` with an error naming the task and the edge, instead of
+/// panicking, rewiring a dead slot, enumerating a subtree twice or
+/// enumerating trees outside the stand.
+#[test]
+fn resume_rejects_task_branches_the_search_never_takes() {
+    // E must sit next to C: A's and B's pendants are live but inadmissible.
+    let (checkpoint, freed) = root_checkpoint(&["((A,B),(C,D));", "((A,B),(C,E));"], "branches");
+    let sidecar = tmp("branches.standckpt");
+    let task = &checkpoint.tasks[0];
+    assert_eq!(task.taxon, 4, "E is the pending taxon");
+    assert_eq!(task.branches.len(), 3, "{:?}", task.branches);
+    let admissible = task.branches[0];
+    let tree = phylo::tree::Tree::from_arena_dump(&task.tree).unwrap();
+    assert!(!tree.edge_alive(phylo::tree::EdgeId(freed)));
+    let leaf_a = tree.leaf(phylo::taxa::TaxonId(0)).unwrap();
+    let a_pendant = tree.adjacent_edges(leaf_a)[0].0;
+    assert!(!task.branches.contains(&a_pendant));
+
+    // Control: the faithful sidecar resumes to completion.
+    checkpoint.write_atomic(&sidecar).unwrap();
+    let out = run_ok(&["stand", "resume", sidecar.to_str().unwrap()]);
+    assert!(out.contains("resuming"), "{out}");
+
+    let cases = [
+        (
+            vec![1000],
+            "branch edge 1000 is not a live edge".to_string(),
+        ),
+        (
+            vec![freed],
+            format!("branch edge {freed} is not a live edge"),
+        ),
+        (
+            vec![admissible, admissible],
+            format!("branch edge {admissible} is listed twice"),
+        ),
+        (
+            vec![a_pendant],
+            format!("branch edge {a_pendant} is not admissible for taxon 4"),
+        ),
+    ];
+    for (branches, msg) in cases {
+        let mut bad = checkpoint.clone();
+        bad.tasks[0].branches = branches;
+        let stderr = resume_fails(&bad, &sidecar);
+        assert!(
+            stderr.contains(&format!("checkpoint task 1: {msg}")),
+            "{stderr}"
+        );
+    }
 }

@@ -47,17 +47,15 @@ pub enum TaxonOrderRule {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum MappingMode {
     /// Recompute all attachment maps at every state — the oracle engine
-    /// every other mode is conformance-checked against.
+    /// the edge-indexed kernels are conformance-checked against.
     Recompute,
-    /// Patch `Arc<Split>`-based maps incrementally on insert/remove with an
-    /// undo log (the scheme the paper's implementation uses; §V notes it
-    /// costs 15–30% of total runtime to maintain).
-    Incremental,
-    /// Flat `Vec<CladeKey>` kernels indexed by `EdgeId`, patched on
-    /// insert/undone on remove: each common-subtree edge is named by the
-    /// smallest member and size of its below-set of common taxa, so the
-    /// admissibility test collapses to one integer compare per (edge,
-    /// constraint). The default.
+    /// Flat `Vec<CladeKey>` kernels indexed by `EdgeId`: each edge of the
+    /// agile tree and of each constraint carries a label naming its
+    /// common-subtree edge, so the admissibility test collapses to one
+    /// integer compare per (edge, constraint). Labels start as clade keys
+    /// and an insertion relabels only the preimage of the common-subtree
+    /// edge it splits (the paper's §V puts mapping maintenance at 15–30%
+    /// of runtime). The default.
     #[default]
     EdgeIndexed,
 }
@@ -67,7 +65,6 @@ impl MappingMode {
     pub fn as_str(self) -> &'static str {
         match self {
             MappingMode::Recompute => "recompute",
-            MappingMode::Incremental => "incremental",
             MappingMode::EdgeIndexed => "edge-indexed",
         }
     }
@@ -85,10 +82,9 @@ impl std::str::FromStr for MappingMode {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "recompute" => Ok(MappingMode::Recompute),
-            "incremental" => Ok(MappingMode::Incremental),
             "edge-indexed" | "edgeindexed" => Ok(MappingMode::EdgeIndexed),
             other => Err(format!(
-                "unknown mapping mode '{other}' (expected recompute, incremental or edge-indexed)"
+                "unknown mapping mode '{other}' (expected recompute or edge-indexed)"
             )),
         }
     }
@@ -201,13 +197,10 @@ mod tests {
 
     #[test]
     fn mapping_mode_round_trips_through_names() {
-        for mode in [
-            MappingMode::Recompute,
-            MappingMode::Incremental,
-            MappingMode::EdgeIndexed,
-        ] {
+        for mode in [MappingMode::Recompute, MappingMode::EdgeIndexed] {
             assert_eq!(mode.as_str().parse::<MappingMode>(), Ok(mode));
         }
+        assert!("incremental".parse::<MappingMode>().is_err());
         assert_eq!(
             "edgeindexed".parse::<MappingMode>(),
             Ok(MappingMode::EdgeIndexed)

@@ -253,30 +253,16 @@ mod tests {
     }
 
     #[test]
-    fn all_mapping_modes_match_recompute() {
+    fn edge_indexed_matches_recompute() {
         let p = problem(&["((A,B),(C,D));", "((C,D),(E,F));", "((A,F),(G,B));"]);
-        let rec = run_serial(
-            &p,
-            &GentriusConfig {
-                mapping: MappingMode::Recompute,
+        let [rec, alt] = [MappingMode::Recompute, MappingMode::EdgeIndexed].map(|mapping| {
+            let config = GentriusConfig {
+                mapping,
                 stopping: StoppingRules::unlimited(),
                 ..GentriusConfig::default()
-            },
-            &mut CountOnly,
-        )
-        .unwrap();
-        for mapping in [MappingMode::Incremental, MappingMode::EdgeIndexed] {
-            let alt = run_serial(
-                &p,
-                &GentriusConfig {
-                    mapping,
-                    stopping: StoppingRules::unlimited(),
-                    ..GentriusConfig::default()
-                },
-                &mut CountOnly,
-            )
-            .unwrap();
-            assert_eq!(rec.stats, alt.stats, "{mapping}");
-        }
+            };
+            run_serial(&p, &config, &mut CountOnly).unwrap()
+        });
+        assert_eq!(rec.stats, alt.stats);
     }
 }

@@ -6,11 +6,13 @@
 //!
 //! * the **serial driver** just loops `step()`;
 //! * the **threaded engine** additionally calls [`Explorer::split_top`] to
-//!   carve half of the current state's pending branches into a task, and
-//!   [`Explorer::begin_task`]/[`Explorer::end_task`] to replay a received
-//!   task path from the initial-split state `I_0`;
+//!   carve half of the current state's pending branches into a task that
+//!   carries a [`crate::state::StateSnapshot`], and a thief resumes that
+//!   snapshot with [`Explorer::resume_task`], with no path replay;
 //! * the **virtual-time simulator** drives many explorers in lock-step,
-//!   charging one tick per transition.
+//!   charging one tick per transition, and still hands tasks over as
+//!   paths it replays from the initial-split state `I_0` with
+//!   [`Explorer::begin_task`]/[`Explorer::end_task`].
 //!
 //! Counting conventions (they match the paper's reported numbers):
 //! entering a new incomplete state = one *intermediate state*; an entered
@@ -96,9 +98,10 @@ impl<'p> Explorer<'p> {
         ex
     }
 
-    /// An idle explorer (no assigned work); used by worker threads that
-    /// receive their work via [`Explorer::begin_task`]. The state should be
-    /// positioned at the initial-split state `I_0`.
+    /// An idle explorer (no assigned work), for workers that receive
+    /// their work via [`Explorer::resume_task`] (the state is positioned at
+    /// the task's start state) or [`Explorer::begin_task`] (the state is
+    /// positioned at the initial-split state `I_0`).
     pub fn new_idle(state: SearchState<'p>) -> Self {
         Explorer {
             state,

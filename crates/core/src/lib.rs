@@ -38,7 +38,6 @@ pub mod config;
 pub mod driver;
 pub mod edge_index;
 pub mod explore;
-pub mod incremental;
 pub mod mapping;
 pub mod oracle;
 pub mod problem;

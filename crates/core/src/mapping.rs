@@ -12,9 +12,11 @@
 //!
 //! We identify common-subtree edges canonically by their **split of `C`**,
 //! so projections computed independently on `A` and `T` are directly
-//! comparable. The edge-indexed kernels ([`project_edges_into`],
-//! [`project_targets_into`]) name the same edges by a [`CladeKey`]
-//! instead: two integers per edge, no bitsets, exact under `A|C = T|C`.
+//! comparable. The edge-indexed kernels name the same edges by a
+//! [`CladeKey`] instead: [`project_edges_into`] gives each edge the key of
+//! its common-subtree edge, two integers, no bitsets, exact under
+//! `A|C = T|C`. That full build starts every labelling; the kernels
+//! ([`crate::edge_index`]) then relabel locally as taxa join `C`.
 //!
 //! ### Why the projection is total and single-valued
 //!
@@ -147,6 +149,10 @@ pub fn missing_taxon_targets(tree: &Tree, c: &BitSet) -> Vec<Option<Split>> {
 
 /// Identity of a common-subtree edge in the edge-indexed kernels.
 ///
+/// A full build ([`project_edges_into`]) names each edge by its *clade
+/// key*; the kernels later hand out fresh labels (`CladeKey::fresh`) for
+/// the edges a new common taxon creates.
+///
 /// With the tree rooted at the leaf of `r = min C`, every edge `e` has a
 /// below-set `B(e)` of `C`-taxa on the side away from `r`, and `B(e)` is
 /// exactly the canonical side of `e`'s split of `C` (the side without the
@@ -176,6 +182,15 @@ impl CladeKey {
         CladeKey((u64::from(min) << 32) | u64::from(size))
     }
 
+    /// The `n`-th fresh label of a kernel. Its size half is 0, which no
+    /// clade key has, and its upper half is `n + 1`, so it is never
+    /// [`CladeKey::NONE`] either. A kernel hands out at most two labels
+    /// per inserted taxon, far below `u32::MAX`.
+    #[inline]
+    pub(crate) fn fresh(n: u32) -> CladeKey {
+        CladeKey((u64::from(n) + 1) << 32)
+    }
+
     /// True if this is the [`CladeKey::NONE`] sentinel.
     #[inline]
     pub fn is_none(self) -> bool {
@@ -183,19 +198,23 @@ impl CladeKey {
     }
 }
 
-/// Reusable buffers for [`project_edges_into`] / [`project_targets_into`].
+/// Reusable buffers for [`project_edges_into`].
 ///
 /// One instance lives inside the edge-indexed kernel and is threaded
-/// through every rebuild, so the steady-state explore loop performs no
-/// heap allocation: the per-node key halves and the traversal buffers are
-/// recycled across rebuilds.
+/// through every full build, so a build allocates nothing once the
+/// buffers have grown. After a build that returned `true`,
+/// `ProjectionScratch::rooted_edges` reports how that build rooted the
+/// tree.
 #[derive(Default)]
 pub struct ProjectionScratch {
-    /// Smallest `C`-taxon of each node's below-set (inherited for hanging
-    /// nodes once [`clade_keys`] returns).
+    /// Smallest `C`-taxon of each node's below-set (`u32::MAX` if empty).
     min: Vec<u32>,
-    /// Size of each node's below-set (likewise inherited).
+    /// Size of each node's below-set; 0 for nodes hanging off the Steiner
+    /// tree of `C`.
     size: Vec<u32>,
+    /// Key of the common-subtree edge each non-root node's parent edge
+    /// projects onto.
+    key: Vec<CladeKey>,
     order: Vec<(NodeId, Option<EdgeId>)>,
     stack: Vec<(NodeId, Option<EdgeId>)>,
 }
@@ -206,18 +225,21 @@ impl ProjectionScratch {
         ProjectionScratch::default()
     }
 
-    /// The key of the edge above non-root node `v` after [`clade_keys`].
-    #[inline]
-    fn key(&self, v: NodeId) -> CladeKey {
-        CladeKey::new(self.min[v.index()], self.size[v.index()])
+    /// Every edge of the last successful build's rooted tree (rooted at
+    /// the leaf of `min C`), as `(edge, endpoint away from the root,
+    /// whether common taxa lie beyond the edge)`. The last flag is true
+    /// exactly for edges of the Steiner tree of `C`.
+    pub(crate) fn rooted_edges(&self) -> impl Iterator<Item = (EdgeId, NodeId, bool)> + '_ {
+        self.order
+            .iter()
+            .filter_map(|&(v, pe)| pe.map(|e| (e, v, self.size[v.index()] != 0)))
     }
 }
 
-/// Fills `scratch` so that [`ProjectionScratch::key`] gives, for every
-/// non-root node `v` of `tree` rooted at the leaf of `min C`, the clade
-/// key of the common-subtree edge that `v`'s parent edge projects onto.
-/// Returns `false` for the degenerate `|C| ≤ 1` case (no common-subtree
-/// edges).
+/// Fills `scratch` so that `scratch.key[v]` is, for every non-root node `v`
+/// of `tree` rooted at the leaf of `min C`, the clade key of the
+/// common-subtree edge that `v`'s parent edge projects onto. Returns
+/// `false` for the degenerate `|C| ≤ 1` case (no common-subtree edges).
 fn clade_keys(tree: &Tree, c: &BitSet, scratch: &mut ProjectionScratch) -> bool {
     debug_assert!(c.is_subset(tree.taxa()), "C must be common taxa");
     if c.count() < 2 {
@@ -233,12 +255,18 @@ fn clade_keys(tree: &Tree, c: &BitSet, scratch: &mut ProjectionScratch) -> bool 
     tree.preorder_into(root, &mut scratch.stack, &mut scratch.order);
     let nodes = tree.node_id_bound();
     let ProjectionScratch {
-        min, size, order, ..
+        min,
+        size,
+        key,
+        order,
+        ..
     } = scratch;
     min.clear();
     min.resize(nodes, u32::MAX);
     size.clear();
     size.resize(nodes, 0);
+    key.clear();
+    key.resize(nodes, CladeKey::NONE);
 
     // Bottom-up: in reverse preorder every node follows its children, so
     // a leaf adds itself and then each node folds into its parent.
@@ -263,12 +291,13 @@ fn clade_keys(tree: &Tree, c: &BitSet, scratch: &mut ProjectionScratch) -> bool 
     for &(v, pe) in order.iter() {
         let Some(pe) = pe else { continue };
         let i = v.index();
-        if size[i] == 0 {
+        key[i] = if size[i] == 0 {
             let p = tree.opposite(pe, v).index();
-            debug_assert!(size[p] != 0, "hanging edge with no Steiner ancestor");
-            min[i] = min[p];
-            size[i] = size[p];
-        }
+            debug_assert!(!key[p].is_none(), "hanging edge with no Steiner ancestor");
+            key[p]
+        } else {
+            CladeKey::new(min[i], size[i])
+        };
     }
     true
 }
@@ -278,6 +307,9 @@ fn clade_keys(tree: &Tree, c: &BitSet, scratch: &mut ProjectionScratch) -> bool 
 /// `map` (indexed by `EdgeId`, dead slots are [`CladeKey::NONE`]). Returns
 /// `false` for the degenerate `|C| ≤ 1` case (every branch admissible;
 /// `map` contents are then meaningless).
+///
+/// On a constraint tree the same map gives the targets of
+/// [`missing_taxon_targets`]: `b̂(t)` is the key of `t`'s pendant edge.
 pub fn project_edges_into(
     tree: &Tree,
     c: &BitSet,
@@ -291,31 +323,7 @@ pub fn project_edges_into(
     map.resize(tree.edge_id_bound(), CladeKey::NONE);
     for &(v, pe) in &scratch.order {
         if let Some(pe) = pe {
-            map[pe.index()] = scratch.key(v);
-        }
-    }
-    true
-}
-
-/// Edge-indexed variant of [`missing_taxon_targets`]: fills `out` (indexed
-/// by taxon id over the whole universe) with the [`CladeKey`] of the
-/// common-subtree edge each taxon of `tree`'s leaf set outside `c` must
-/// subdivide — [`CladeKey::NONE`] for taxa in `c`, absent taxa, or when
-/// `|C| ≤ 1` (in which case `false` is returned).
-pub fn project_targets_into(
-    tree: &Tree,
-    c: &BitSet,
-    scratch: &mut ProjectionScratch,
-    out: &mut Vec<CladeKey>,
-) -> bool {
-    out.clear();
-    out.resize(tree.universe(), CladeKey::NONE);
-    if !clade_keys(tree, c, scratch) {
-        return false;
-    }
-    for (leaf, taxon) in tree.leaves() {
-        if !c.contains(taxon.index()) {
-            out[taxon.index()] = scratch.key(leaf);
+            map[pe.index()] = scratch.key[v.index()];
         }
     }
     true
@@ -463,7 +471,7 @@ pub(crate) mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
         let universe = 12usize;
         let mut scratch = ProjectionScratch::new();
-        let (mut map, mut targets) = (Vec::new(), Vec::new());
+        let (mut map, mut cons_map) = (Vec::new(), Vec::new());
         for trial in 0..40 {
             // Agile tree and constraint are restrictions of one source
             // tree, so they agree on their common taxa.
@@ -484,8 +492,17 @@ pub(crate) mod tests {
             let projected = project_edges_into(&agile, &c, &mut scratch, &mut map);
             assert_eq!(projected, !reference.all_admissible(), "trial {trial}");
             let ref_targets = missing_taxon_targets(&cons, &c);
-            let has_targets = project_targets_into(&cons, &c, &mut scratch, &mut targets);
+            let has_targets = project_edges_into(&cons, &c, &mut scratch, &mut cons_map);
             assert_eq!(has_targets, projected, "trial {trial}");
+            // b̂(t) is the key of t's pendant edge, for taxa outside C.
+            let targets: Vec<CladeKey> = (0..universe)
+                .map(|t| match cons.leaf(TaxonId(t as u32)) {
+                    Some(leaf) if has_targets && !c.contains(t) => {
+                        cons_map[cons.adjacent_edges(leaf)[0].index()]
+                    }
+                    _ => CladeKey::NONE,
+                })
+                .collect();
             let target_entries = (0..universe).map(|t| (targets[t], ref_targets[t].as_ref()));
             if projected {
                 let entries: Vec<_> = agile

@@ -5,12 +5,12 @@
 //! set of constraint trees, the common subtrees, and the corresponding
 //! mappings at a given point in time" (§II-A). In the reference
 //! [`MappingMode::Recompute`](crate::config::MappingMode) engine the
-//! projections are recomputed per state; the incremental engine patches
-//! them on insert/remove.
+//! projections are recomputed per query batch; the default edge-indexed
+//! kernels ([`crate::edge_index`]) relabel them locally on each insertion
+//! and pop a log on each undo.
 
 use crate::config::{MappingMode, TaxonOrderRule};
 use crate::edge_index::EdgeIndexedMaps;
-use crate::incremental::IncrementalMaps;
 use crate::mapping::{attachment_map, missing_taxon_targets, AttachMap, CladeKey};
 use crate::problem::StandProblem;
 use phylo::split::Split;
@@ -115,7 +115,8 @@ impl std::error::Error for SnapshotError {}
 /// empty undo stacks). This is the replay-free task-handoff payload: a
 /// thief rebuilds a working state in O(state) via
 /// [`SearchState::resume`] instead of replaying the path through the
-/// mapping kernels.
+/// mapping kernels. The edge-indexed labels travel with it, so the thief
+/// keeps patching the labels the donor handed out.
 pub struct StateSnapshot {
     agile: Tree,
     remaining: Vec<TaxonId>,
@@ -165,16 +166,15 @@ impl StateSnapshot {
     pub fn mapping_mode(&self) -> MappingMode {
         match self.engine {
             MapsEngine::Recompute => MappingMode::Recompute,
-            MapsEngine::Incremental(_) => MappingMode::Incremental,
             MapsEngine::EdgeIndexed(_) => MappingMode::EdgeIndexed,
         }
     }
 
     /// Rebuilds a snapshot from its serialized parts, constructing the
-    /// projection engine *fresh* from `(problem, agile)` — the engines are
-    /// deterministic functions of the problem and the current agile tree
-    /// (their constructors recompute every map from scratch), so checkpoint
-    /// files never serialize kernel internals. `order_code` is the wire
+    /// projection engine *fresh* from `(problem, agile)`: the edge-indexed
+    /// kernels start again from clade keys, which is sound because labels
+    /// only need to agree within one kernel instance, so checkpoint files
+    /// never serialize kernel internals. `order_code` is the wire
     /// byte from [`StateSnapshot::order_code`]: 0 = static, 1 = dynamic
     /// with smallest-id tie-break, 2 = dynamic with most-constraints
     /// tie-break.
@@ -224,9 +224,6 @@ impl StateSnapshot {
         }
         let engine = match mapping {
             MappingMode::Recompute => MapsEngine::Recompute,
-            MappingMode::Incremental => {
-                MapsEngine::Incremental(IncrementalMaps::new(problem, &agile))
-            }
             MappingMode::EdgeIndexed => {
                 MapsEngine::EdgeIndexed(Box::new(EdgeIndexedMaps::new(problem, &agile)))
             }
@@ -248,7 +245,6 @@ impl Clone for StateSnapshot {
             order: self.order,
             engine: match &self.engine {
                 MapsEngine::Recompute => MapsEngine::Recompute,
-                MapsEngine::Incremental(inc) => MapsEngine::Incremental(inc.fork_live()),
                 MapsEngine::EdgeIndexed(ei) => MapsEngine::EdgeIndexed(Box::new(ei.fork_live())),
             },
         }
@@ -269,9 +265,7 @@ impl std::fmt::Debug for StateSnapshot {
 enum MapsEngine {
     /// Rebuild projections per query batch (the oracle).
     Recompute,
-    /// Arc-based maps patched on insert/remove.
-    Incremental(IncrementalMaps),
-    /// Flat edge-indexed kernels (the default).
+    /// Flat edge-indexed kernels, relabelled locally (the default).
     EdgeIndexed(Box<EdgeIndexedMaps>),
 }
 
@@ -356,19 +350,10 @@ impl<'p> SearchState<'p> {
     pub fn enable_mapping(&mut self, mode: MappingMode) {
         self.engine = match mode {
             MappingMode::Recompute => MapsEngine::Recompute,
-            MappingMode::Incremental => {
-                MapsEngine::Incremental(IncrementalMaps::new(self.problem, &self.agile))
-            }
             MappingMode::EdgeIndexed => {
                 MapsEngine::EdgeIndexed(Box::new(EdgeIndexedMaps::new(self.problem, &self.agile)))
             }
         };
-    }
-
-    /// Switches this state to the incremental mapping engine (must be
-    /// called on the root state, before any insertion).
-    pub fn enable_incremental(&mut self) {
-        self.enable_mapping(MappingMode::Incremental);
     }
 
     /// The problem this state explores.
@@ -388,7 +373,6 @@ impl<'p> SearchState<'p> {
             order: self.order,
             engine: match &self.engine {
                 MapsEngine::Recompute => MapsEngine::Recompute,
-                MapsEngine::Incremental(inc) => MapsEngine::Incremental(inc.fork_live()),
                 MapsEngine::EdgeIndexed(ei) => MapsEngine::EdgeIndexed(Box::new(ei.fork_live())),
             },
         }
@@ -438,13 +422,6 @@ impl<'p> SearchState<'p> {
         let unqueried = self.remaining.is_empty();
         match &mut self.engine {
             MapsEngine::Recompute => {}
-            MapsEngine::Incremental(inc) => {
-                if unqueried {
-                    inc.after_insert_unqueried();
-                } else {
-                    inc.after_insert(self.problem, &self.agile, &ins);
-                }
-            }
             MapsEngine::EdgeIndexed(ei) => {
                 if unqueried {
                     ei.after_insert_unqueried();
@@ -460,7 +437,6 @@ impl<'p> SearchState<'p> {
     pub fn undo(&mut self, step: &AppliedStep) {
         match &mut self.engine {
             MapsEngine::Recompute => {}
-            MapsEngine::Incremental(inc) => inc.before_remove(&step.ins),
             MapsEngine::EdgeIndexed(ei) => ei.before_remove(&step.ins),
         }
         self.agile.remove_insertion(&step.ins);
@@ -596,17 +572,14 @@ fn admissible_into(
         }
         return;
     }
-    // Recompute mode fills the per-state scratch lazily; the incremental
-    // engine already holds live maps.
-    if let MapsEngine::Recompute = engine {
-        for &ci in cis {
-            let ci = ci as usize;
-            if scratch.agile_maps[ci].is_none() {
-                let cons = &problem.constraints()[ci];
-                let c = agile.taxa().intersection(cons.taxa());
-                scratch.agile_maps[ci] = Some(attachment_map(agile, &c));
-                scratch.targets[ci] = Some(missing_taxon_targets(cons, &c));
-            }
+    // Recompute mode fills the per-state scratch lazily.
+    for &ci in cis {
+        let ci = ci as usize;
+        if scratch.agile_maps[ci].is_none() {
+            let cons = &problem.constraints()[ci];
+            let c = agile.taxa().intersection(cons.taxa());
+            scratch.agile_maps[ci] = Some(attachment_map(agile, &c));
+            scratch.targets[ci] = Some(missing_taxon_targets(cons, &c));
         }
     }
     // Collect (agile map, target split) for each constraint containing
@@ -615,15 +588,10 @@ fn admissible_into(
     let mut checks: Vec<(&AttachMap, &Split)> = Vec::new();
     for &ci in cis {
         let ci = ci as usize;
-        let (map, targets): (&AttachMap, &[Option<Split>]) = match engine {
-            MapsEngine::Incremental(inc) => (inc.agile_map(ci), inc.targets(ci)),
-            _ => (
-                // xlint: allow(panic-freedom) — the recompute loop above filled this cell; a miss would silently admit wrong branches
-                scratch.agile_maps[ci].as_ref().expect("ensured above"),
-                // xlint: allow(panic-freedom) — same invariant as the map cell directly above
-                scratch.targets[ci].as_ref().expect("ensured above"),
-            ),
-        };
+        // xlint: allow(panic-freedom) — the recompute loop above filled this cell; a miss would silently admit wrong branches
+        let map = scratch.agile_maps[ci].as_ref().expect("ensured above");
+        // xlint: allow(panic-freedom) — same invariant as the map cell directly above
+        let targets = scratch.targets[ci].as_ref().expect("ensured above");
         if let Some(target) = &targets[taxon.index()] {
             checks.push((map, target));
         }

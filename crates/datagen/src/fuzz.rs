@@ -2,10 +2,10 @@
 //!
 //! Takes zoo instances as bases, applies small random mutations to their
 //! constraint trees (drop / duplicate a constraint, drop / add / regraft
-//! a leaf) and drives every viable mutant through the 3-mode ×
+//! a leaf) and drives every viable mutant through the 2-mode ×
 //! thread-count conformance matrix: serial `Recompute` is the oracle;
-//! `Incremental` and `EdgeIndexed` serially plus every mode at 2 and 4
-//! threads must reproduce its counters and canonical stand set exactly,
+//! `EdgeIndexed` serially plus both modes at 2 and 4 threads must
+//! reproduce its counters and canonical stand set exactly,
 //! and every counter snapshot must satisfy the dead-end invariant.
 //!
 //! Every mutant is a pure function of `(seed, iteration)`: a failure
@@ -226,7 +226,7 @@ pub enum Conformance {
     Diverged(String),
 }
 
-/// Runs the 3-mode × thread-count conformance matrix on one dataset.
+/// Runs the 2-mode × thread-count conformance matrix on one dataset.
 pub fn conformance_check(d: &Dataset, stopping: &StoppingRules, threads: &[usize]) -> Conformance {
     let p = match d.problem() {
         Ok(p) => p,
@@ -252,11 +252,7 @@ pub fn conformance_check(d: &Dataset, stopping: &StoppingRules, threads: &[usize
         ));
     }
     let oracle_set = canonical_stand_set([oracle_sink.out]);
-    for mode in [
-        MappingMode::Recompute,
-        MappingMode::Incremental,
-        MappingMode::EdgeIndexed,
-    ] {
+    for mode in [MappingMode::Recompute, MappingMode::EdgeIndexed] {
         let config = GentriusConfig {
             mapping: mode,
             stopping: stopping.clone(),

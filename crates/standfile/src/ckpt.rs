@@ -14,7 +14,7 @@
 //! "GSTANDC1"
 //! varint version (= 1)
 //! varint problem_hash           FNV-1a 64 over taxa + constraint newicks
-//! varint mapping                0 recompute · 1 incremental · 2 edge-indexed
+//! varint mapping                0 recompute · 2 edge-indexed (1 is retired)
 //! varint order_code             StateSnapshot::order_code
 //! varint threads                worker count of the checkpointed run
 //! varint initial_tree           constraint index of the initial agile tree
@@ -341,7 +341,6 @@ impl Checkpoint {
         write_u64(&mut buf, self.problem_hash);
         let mode = match self.mapping {
             MappingMode::Recompute => 0u64,
-            MappingMode::Incremental => 1,
             MappingMode::EdgeIndexed => 2,
         };
         write_u64(&mut buf, mode);
@@ -418,8 +417,8 @@ impl Checkpoint {
         let stored_hash = r.u64("problem hash")?;
         let mapping = match r.u64("mapping mode")? {
             0 => MappingMode::Recompute,
-            1 => MappingMode::Incremental,
             2 => MappingMode::EdgeIndexed,
+            // 1 named the removed patched-split engine.
             m => return Err(r.err(&format!("unknown mapping mode {m}"))),
         };
         let order_code = r.u64("order code")?;

@@ -71,11 +71,7 @@ fn task_strategy() -> impl Strategy<Value = CkptTask> {
 }
 
 fn ckpt_strategy() -> impl Strategy<Value = Checkpoint> {
-    let mapping = prop_oneof![
-        Just(MappingMode::Recompute),
-        Just(MappingMode::Incremental),
-        Just(MappingMode::EdgeIndexed),
-    ];
+    let mapping = prop_oneof![Just(MappingMode::Recompute), Just(MappingMode::EdgeIndexed)];
     // Labels may be empty and may collide across the vectors: the hash
     // NUL-terminates each one precisely so boundary games cannot alias
     // two distinct problems, and round-trips must not care either way.
@@ -233,6 +229,24 @@ fn rejection_table() {
     let err = Checkpoint::decode(&bad_version).unwrap_err();
     assert!(
         matches!(&err, StandfileError::Format { msg, .. } if msg.contains("version")),
+        "{err}"
+    );
+
+    // The retired mapping byte 1 (the removed patched-split engine). The
+    // mapping varint follows the version byte and the problem-hash varint.
+    let mut retired_mode = good.clone();
+    let hash_len = retired_mode[9..]
+        .iter()
+        .position(|&b| b & 0x80 == 0)
+        .unwrap()
+        + 1;
+    let mode_at = 9 + hash_len;
+    assert_eq!(retired_mode[mode_at], 2, "mapping varint moved?");
+    retired_mode[mode_at] = 1;
+    fix_checksum(&mut retired_mode);
+    let err = Checkpoint::decode(&retired_mode).unwrap_err();
+    assert!(
+        matches!(&err, StandfileError::Format { msg, .. } if msg.contains("mapping mode 1")),
         "{err}"
     );
 

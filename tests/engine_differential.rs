@@ -170,9 +170,8 @@ fn serial_and_parallel_agree_across_the_sweep() {
 }
 
 /// The mapping-kernel conformance matrix: every fully-enumerable instance
-/// of the sweep runs under every mapping engine — Recompute (the oracle),
-/// Incremental and EdgeIndexed — serially and at 2/4/8 threads. All twelve
-/// cells must reproduce the oracle's counters and canonical stand set
+/// of the sweep runs under both mapping engines — Recompute (the oracle)
+/// and EdgeIndexed — serially and at 2/4/8 threads. All eight cells must reproduce the oracle's counters and canonical stand set
 /// exactly, and every snapshot a parallel run exposes (totals, prefix,
 /// per-worker, heartbeats) must satisfy the dead-end invariant. This is
 /// the gate that lets the flat edge-indexed kernels be the default: any
@@ -180,11 +179,7 @@ fn serial_and_parallel_agree_across_the_sweep() {
 /// stand-set mismatch here.
 #[test]
 fn mapping_mode_conformance_matrix() {
-    const MODES: [MappingMode; 3] = [
-        MappingMode::Recompute,
-        MappingMode::Incremental,
-        MappingMode::EdgeIndexed,
-    ];
+    const MODES: [MappingMode; 2] = [MappingMode::Recompute, MappingMode::EdgeIndexed];
     let sweep = differential_sweep();
     let mut verified = 0usize;
     let mut with_dead_ends = 0usize;
@@ -346,16 +341,12 @@ fn deque_churn_profile_stays_exact_and_exercises_grow() {
 /// ring buffers plus a raised capacity gate maximise split/steal churn,
 /// and per-step stop polling keeps every worker responsive. A stolen task
 /// now carries a full `StateSnapshot` (not a replay path), so this profile
-/// hammers exactly the snapshot/clone/resume path under all three mapping
+/// hammers exactly the snapshot/clone/resume path under both mapping
 /// engines at 1/2/4/8 threads and demands bit-identical stand sets plus
 /// the dead-end invariant on every counter snapshot.
 #[test]
 fn steal_heavy_snapshot_handoff_stays_exact_across_modes() {
-    const MODES: [MappingMode; 3] = [
-        MappingMode::Recompute,
-        MappingMode::Incremental,
-        MappingMode::EdgeIndexed,
-    ];
+    const MODES: [MappingMode; 2] = [MappingMode::Recompute, MappingMode::EdgeIndexed];
     let hard = SimulatedParams {
         taxa: (14, 18),
         loci: (5, 7),
@@ -431,7 +422,7 @@ fn steal_heavy_snapshot_handoff_stays_exact_across_modes() {
 
 /// One instance per adversarial-zoo family (the deep-unbalanced plateau,
 /// a fuzz-sized stopping-rule-interaction instance, and the Grove-like
-/// clade-blocky empirical instance), each run through the full 3-mode ×
+/// clade-blocky empirical instance), each run through the full 2-mode ×
 /// {serial, 2, 4 threads} conformance matrix: identical counters,
 /// identical canonical stand sets, and the dead-end invariant on every
 /// exposed snapshot. The showcase-scale interaction instance cannot
@@ -442,11 +433,7 @@ fn adversarial_zoo_families_stay_exact_across_modes_and_threads() {
     use gentrius_datagen::adversarial::{
         grove_showcase, interaction_dataset, unbalanced_showcase, InteractionParams, ZOO_SEED,
     };
-    const MODES: [MappingMode; 3] = [
-        MappingMode::Recompute,
-        MappingMode::Incremental,
-        MappingMode::EdgeIndexed,
-    ];
+    const MODES: [MappingMode; 2] = [MappingMode::Recompute, MappingMode::EdgeIndexed];
     let small_interaction = interaction_dataset(
         &InteractionParams {
             taxa: (10, 14),

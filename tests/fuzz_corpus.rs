@@ -1,5 +1,5 @@
 //! Corpus replay — every dataset under `tests/corpus/` runs through the
-//! fuzzer's 3-mode × thread-count conformance matrix forever.
+//! fuzzer's 2-mode × thread-count conformance matrix forever.
 //!
 //! The corpus holds the pinned adversarial-zoo showcases (seeded by
 //! `corpus_seed`) plus any minimized failure `datagen fuzz` ever wrote.

@@ -91,7 +91,7 @@ fn heuristic_variants_agree_with_oracle() {
     let expected = brute_force_stand(&problem, &taxa);
     for initial in [InitialTreeRule::MaxOverlap, InitialTreeRule::Index(1)] {
         for order in [TaxonOrderRule::Dynamic, TaxonOrderRule::ById] {
-            for mapping in [MappingMode::Recompute, MappingMode::Incremental] {
+            for mapping in [MappingMode::Recompute, MappingMode::EdgeIndexed] {
                 let cfg = GentriusConfig {
                     initial_tree: initial.clone(),
                     taxon_order: order.clone(),

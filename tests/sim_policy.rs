@@ -3,19 +3,15 @@
 //! behave as designed, and results must be invariant to them — under
 //! every mapping engine. The simulator replays the scheduler policy on
 //! top of the real kernels, so each test runs the full Recompute /
-//! Incremental / EdgeIndexed matrix: a policy invariant that holds only
-//! under one kernel is not an invariant.
+//! EdgeIndexed matrix: a policy invariant that holds only under one
+//! kernel is not an invariant.
 
 use gentrius_core::{GentriusConfig, MappingMode, StandProblem, StoppingRules};
 use gentrius_datagen::{simulated_dataset, MissingPattern, SimulatedParams};
 use gentrius_sim::{simulate, CostModel, SimConfig};
 use phylo::generate::ShapeModel;
 
-const MODES: [MappingMode; 3] = [
-    MappingMode::Recompute,
-    MappingMode::Incremental,
-    MappingMode::EdgeIndexed,
-];
+const MODES: [MappingMode; 2] = [MappingMode::Recompute, MappingMode::EdgeIndexed];
 
 fn medium_instance() -> StandProblem {
     let params = SimulatedParams {
