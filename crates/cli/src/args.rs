@@ -12,9 +12,11 @@ pub struct ParsedArgs {
     /// Positional arguments in order (subcommand first).
     pub positional: Vec<String>,
     flags: HashMap<String, Vec<String>>,
+    /// A last flag that expects a value and has none.
+    missing: Option<String>,
 }
 
-/// Parse error (unknown syntax only; semantic checks live with commands).
+/// A flag the command does not take, or one that lacks its value.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ArgError(pub String);
 
@@ -27,39 +29,51 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl ParsedArgs {
-    /// Parses raw arguments. `bool_flags` lists flags that take no value.
-    pub fn parse(args: &[String], bool_flags: &[&str]) -> Result<ParsedArgs, ArgError> {
+    /// Parses raw arguments. `bool_flags` names, space-separated, the flags
+    /// that take no value. Which flags a command accepts is checked
+    /// afterwards, by [`ParsedArgs::check`].
+    pub fn parse(args: &[String], bool_flags: &str) -> ParsedArgs {
         let mut out = ParsedArgs::default();
         let mut i = 0;
         while i < args.len() {
             let a = &args[i];
             if let Some(name) = a.strip_prefix("--") {
-                if let Some((k, v)) = name.split_once('=') {
-                    out.flags
-                        .entry(k.to_string())
-                        .or_default()
-                        .push(v.to_string());
-                } else if bool_flags.contains(&name) {
-                    out.flags
-                        .entry(name.to_string())
-                        .or_default()
-                        .push(String::new());
-                } else {
-                    i += 1;
-                    let v = args
-                        .get(i)
-                        .ok_or_else(|| ArgError(format!("--{name} expects a value")))?;
-                    out.flags
-                        .entry(name.to_string())
-                        .or_default()
-                        .push(v.clone());
+                let (name, value) = match name.split_once('=') {
+                    Some((k, v)) => (k, Some(v.to_string())),
+                    None if bool_flags.split_whitespace().any(|f| f == name) => {
+                        (name, Some(String::new()))
+                    }
+                    None => {
+                        i += 1;
+                        (name, args.get(i).cloned())
+                    }
+                };
+                match value {
+                    Some(v) => out.flags.entry(name.to_string()).or_default().push(v),
+                    None => out.missing = Some(name.to_string()),
                 }
             } else {
                 out.positional.push(a.clone());
             }
             i += 1;
         }
-        Ok(out)
+        out
+    }
+
+    /// Fails on a flag outside `accepted` (groups of space-separated flag
+    /// names), naming it and `command`, then on a flag that lacks its value.
+    pub fn check(&self, command: &str, accepted: &[&str]) -> Result<(), ArgError> {
+        let known: Vec<&str> = accepted.iter().flat_map(|g| g.split_whitespace()).collect();
+        let mut given: Vec<&str> = self.flags.keys().map(String::as_str).collect();
+        given.extend(self.missing.as_deref());
+        given.sort_unstable();
+        let unknown = given.into_iter().find(|f| !known.contains(f));
+        let error = match (unknown, &self.missing) {
+            (Some(f), _) => format!("unknown flag --{f} for '{command}' (see 'gentrius help')"),
+            (None, Some(f)) => format!("--{f} expects a value"),
+            (None, None) => return Ok(()),
+        };
+        Err(ArgError(error))
     }
 
     /// The last value of `flag`, if given.
@@ -108,7 +122,7 @@ mod tests {
 
     fn parse(v: &[&str]) -> ParsedArgs {
         let owned: Vec<String> = v.iter().map(|s| s.to_string()).collect();
-        ParsedArgs::parse(&owned, &["verbose"]).unwrap()
+        ParsedArgs::parse(&owned, "verbose")
     }
 
     #[test]
@@ -129,8 +143,21 @@ mod tests {
 
     #[test]
     fn missing_value_is_error() {
-        let owned: Vec<String> = vec!["--trees".into()];
-        assert!(ParsedArgs::parse(&owned, &[]).is_err());
+        let a = parse(&["stand", "--trees"]);
+        let e = a.check("stand", &["trees"]).unwrap_err();
+        assert_eq!(e.0, "--trees expects a value");
+        // An unknown flag is reported as such even without a value.
+        let a = parse(&["stand", "--tree"]);
+        let e = a.check("stand", &["trees"]).unwrap_err();
+        assert!(e.0.starts_with("unknown flag --tree for 'stand'"), "{e}");
+    }
+
+    #[test]
+    fn check_names_the_unknown_flag_and_the_command() {
+        let a = parse(&["stand", "--trees", "x.nwk", "--thread", "4", "--verbose"]);
+        assert!(a.check("stand", &["trees thread verbose"]).is_ok());
+        let e = a.check("stand", &["trees threads", "verbose"]).unwrap_err();
+        assert!(e.0.starts_with("unknown flag --thread for 'stand'"), "{e}");
     }
 
     #[test]

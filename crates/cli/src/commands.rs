@@ -1,32 +1,28 @@
 //! Subcommand implementations. Everything returns its output as a string
 //! (plus optional file side effects) so the logic is directly testable.
+//! Stand runs go through [`crate::pipeline`]; this module parses their flags
+//! and formats their reports.
 
-use crate::args::ParsedArgs;
-use gentrius_core::state::{SearchState, StateSnapshot};
+use crate::args::{ArgError, ParsedArgs};
+use crate::pipeline::{self, Driver, Output, RunReport, RunSpec};
 use gentrius_core::{
-    canonical_stand_set, BatchingSink, CollectNewick, GentriusConfig, InitialTreeRule, MappingMode,
-    RunStats, StandProblem, StopCause, StoppingRules, TaxonOrderRule,
+    GentriusConfig, InitialTreeRule, MappingMode, StandProblem, StopCause, StoppingRules,
+    TaxonOrderRule,
 };
 use gentrius_datagen::{
     empirical_dataset, simulated_dataset, Dataset, EmpiricalParams, SimulatedParams,
 };
-use gentrius_parallel::{
-    run_parallel_epoch, run_parallel_with_sinks, ParallelConfig, ParallelRunResult, ResumeFrontier,
-    Task,
-};
+use gentrius_parallel::obs::{write_chrome_trace, write_run_metrics, METRICS_VERSION};
+use gentrius_parallel::{FlushThresholds, ParallelConfig};
 use gentrius_sim::{simulate, SimConfig};
-use gentrius_standfile::{
-    merge_segments, Checkpoint, CkptTask, Container, ContainerSink, ContainerSummary,
-    StandfileError,
-};
+use gentrius_standfile::{Checkpoint, Container, ContainerSink, ContainerSummary, StandfileError};
 use phylo::newick::{parse_forest, to_newick};
 use phylo::pam::Pam;
-use phylo::taxa::{TaxonId, TaxonSet};
-use phylo::tree::{EdgeId, Tree};
+use phylo::taxa::TaxonSet;
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::time::Duration;
 
 /// Top-level error type for the CLI.
 #[derive(Debug)]
@@ -46,8 +42,24 @@ impl From<String> for CliError {
     }
 }
 
+impl From<ArgError> for CliError {
+    fn from(e: ArgError) -> Self {
+        CliError(e.0)
+    }
+}
+
 fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))
+}
+
+/// An error carrying `e`'s message.
+pub(crate) fn msg(e: impl std::fmt::Display) -> CliError {
+    CliError(e.to_string())
+}
+
+/// An error about the file at `path`.
+pub(crate) fn at(path: impl AsRef<Path>, e: impl std::fmt::Display) -> CliError {
+    CliError(format!("{}: {e}", path.as_ref().display()))
 }
 
 /// The usage text.
@@ -55,17 +67,16 @@ pub const USAGE: &str = "\
 gentrius — phylogenetic stand enumeration (Rust reproduction of parallel Gentrius)
 
 USAGE:
-  gentrius stand   --trees FILE | (--species FILE --pam FILE)
+  gentrius stand   --trees FILE | --dataset FILE | (--species FILE --pam FILE)
                    [--threads N] [--max-trees N] [--max-states N] [--max-hours H]
                    [--no-dynamic] [--initial-tree IDX]
                    [--mapping recompute|edge-indexed]
                    [--print-trees] [--output FILE[.stand]] [--max-collect N]
                    [--metrics-json FILE] [--trace-json FILE]
                    [--no-adaptive-split] [--stop-poll-stride N]
-                   [--emit-batch N] [--coarse-flush] [--checkpoint-every SECS]
+                   [--coarse-flush] [--checkpoint-every SECS]
   gentrius stand resume FILE.standckpt [--threads N] [--checkpoint-every SECS]
-                   [--emit-batch N] [--no-adaptive-split] [--stop-poll-stride N]
-                   [--coarse-flush]
+                   [--no-adaptive-split] [--stop-poll-stride N] [--coarse-flush]
   gentrius stand export --input FILE --output FILE
   gentrius stand cat FILE.stand [--from N] [--count M]
   gentrius induced --species FILE --pam FILE
@@ -84,6 +95,8 @@ USAGE:
                    [--branch-len T] [--likelihood]
   gentrius help
 
+Each subcommand takes the flags listed for it (and --help); any other flag
+is an error.
 Input formats: tree files hold one Newick per line; PAM files hold
 '<taxon> <0/1 row>' lines; dataset files use the gentrius dataset v1 format.
 Stand containers: an --output path ending in .stand streams stand trees
@@ -110,48 +123,63 @@ parallel engine, even with --threads 1.
 Scheduler tuning (parallel runs): --no-adaptive-split disables the
 steal-to-execute granularity controller (workers then always publish
 stealable frames); --stop-poll-stride N polls the stop flag every N
-steps instead of the default 64; --emit-batch N buffers N stand trees
-per worker before forwarding them to the collector; --coarse-flush
-raises the counter-flush thresholds for blow-up instances.
+steps instead of the default 64; --coarse-flush raises the counter-flush
+thresholds for blow-up instances.
 ";
+
+/// Flags that take no value.
+const BOOL_FLAGS: &str =
+    "no-dynamic print-trees no-steal no-adaptive-split coarse-flush trace likelihood help";
+
+/// The flags `command` accepts, in space-separated groups.
+fn accepted_flags(command: &str) -> &'static [&'static str] {
+    const PROBLEM: &str = "trees dataset species pam";
+    const RULES: &str = "max-trees max-states max-hours no-dynamic initial-tree mapping";
+    const ENGINE: &str = "threads no-adaptive-split stop-poll-stride coarse-flush checkpoint-every";
+    const STAND: &str = "print-trees output max-collect metrics-json trace-json";
+    match command {
+        "stand" => &[PROBLEM, RULES, ENGINE, STAND],
+        // `--input` is the flag form of the positional path.
+        "stand resume" => &[ENGINE, "input"],
+        "stand export" => &["input output"],
+        "stand cat" => &["input from count"],
+        "induced" => &["species pam"],
+        "gen" => &["kind seed index scale output scenario"],
+        "sim" => &[PROBLEM, RULES, "threads max-ticks no-steal trace"],
+        "consensus" => &[PROBLEM, RULES, "min-support"],
+        "verify" => &[PROBLEM, RULES, "threads"],
+        "superb" => &[PROBLEM],
+        "score" => &["matrix partitions trees branch-len likelihood"],
+        _ => &[],
+    }
+}
 
 /// Dispatches a full command line (without the program name).
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let parsed = ParsedArgs::parse(
-        args,
-        &[
-            "no-dynamic",
-            "incremental",
-            "print-trees",
-            "no-steal",
-            "no-adaptive-split",
-            "coarse-flush",
-            "trace",
-            "likelihood",
-            "help",
-        ],
-    )
-    .map_err(|e| CliError(e.to_string()))?;
+    let parsed = ParsedArgs::parse(args, BOOL_FLAGS);
     if parsed.has("help") {
         return Ok(USAGE.to_string());
     }
-    match parsed.positional.first().map(|s| s.as_str()) {
-        Some("stand") => match parsed.positional.get(1).map(|s| s.as_str()) {
-            Some("export") => cmd_stand_export(&parsed),
-            Some("cat") => cmd_stand_cat(&parsed),
-            Some("resume") => cmd_stand_resume(&parsed),
-            _ => cmd_stand(&parsed),
+    let word = |i: usize| parsed.positional.get(i).map(String::as_str);
+    let (name, command): (&str, fn(&ParsedArgs) -> _) = match word(0) {
+        Some("stand") => match word(1) {
+            Some("export") => ("stand export", cmd_stand_export),
+            Some("cat") => ("stand cat", cmd_stand_cat),
+            Some("resume") => ("stand resume", cmd_stand_resume),
+            _ => ("stand", cmd_stand),
         },
-        Some("induced") => cmd_induced(&parsed),
-        Some("gen") => cmd_gen(&parsed),
-        Some("sim") => cmd_sim(&parsed),
-        Some("consensus") => cmd_consensus(&parsed),
-        Some("verify") => cmd_verify(&parsed),
-        Some("superb") => cmd_superb(&parsed),
-        Some("score") => cmd_score(&parsed),
-        Some("help") | None => Ok(USAGE.to_string()),
-        Some(other) => err(format!("unknown subcommand '{other}'\n\n{USAGE}")),
-    }
+        Some("induced") => ("induced", cmd_induced),
+        Some("gen") => ("gen", cmd_gen),
+        Some("sim") => ("sim", cmd_sim),
+        Some("consensus") => ("consensus", cmd_consensus),
+        Some("verify") => ("verify", cmd_verify),
+        Some("superb") => ("superb", cmd_superb),
+        Some("score") => ("score", cmd_score),
+        Some("help") | None => return Ok(USAGE.to_string()),
+        Some(other) => return err(format!("unknown subcommand '{other}'\n\n{USAGE}")),
+    };
+    parsed.check(name, accepted_flags(name))?;
+    command(&parsed)
 }
 
 /// Loads the problem (and taxa) from `--trees`, `--dataset`, or
@@ -159,62 +187,48 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 fn load_problem(a: &ParsedArgs) -> Result<(TaxonSet, StandProblem), CliError> {
     if let Some(path) = a.get("dataset") {
         let d = Dataset::load(std::path::Path::new(path))?;
-        let p = d.problem().map_err(|e| CliError(e.to_string()))?;
+        let p = d.problem().map_err(msg)?;
         return Ok((d.taxa, p));
     }
     if let Some(path) = a.get("trees") {
-        let text = std::fs::read_to_string(path).map_err(|e| CliError(format!("{path}: {e}")))?;
+        let text = std::fs::read_to_string(path).map_err(|e| at(path, e))?;
         // NEXUS tree files are auto-detected by their header; anything
         // else is treated as one Newick per line.
         let (taxa, trees) = if text.trim_start().to_ascii_uppercase().starts_with("#NEXUS") {
-            let data = phylo::nexus::parse_nexus(&text).map_err(|e| CliError(e.to_string()))?;
+            let data = phylo::nexus::parse_nexus(&text).map_err(msg)?;
             (data.taxa, data.trees.into_iter().map(|(_, t)| t).collect())
         } else {
-            parse_forest(text.lines()).map_err(|e| CliError(e.to_string()))?
+            parse_forest(text.lines()).map_err(msg)?
         };
-        let p = StandProblem::from_constraints(trees).map_err(|e| CliError(e.to_string()))?;
+        let p = StandProblem::from_constraints(trees).map_err(msg)?;
         return Ok((taxa, p));
     }
     if let (Some(sp), Some(pp)) = (a.get("species"), a.get("pam")) {
-        let sp_text = std::fs::read_to_string(sp).map_err(|e| CliError(format!("{sp}: {e}")))?;
-        let pam_text = std::fs::read_to_string(pp).map_err(|e| CliError(format!("{pp}: {e}")))?;
-        let (mut taxa, mut trees) =
-            parse_forest(sp_text.lines().take(1)).map_err(|e| CliError(e.to_string()))?;
+        let sp_text = std::fs::read_to_string(sp).map_err(|e| at(sp, e))?;
+        let pam_text = std::fs::read_to_string(pp).map_err(|e| at(pp, e))?;
+        let (mut taxa, mut trees) = parse_forest(sp_text.lines().take(1)).map_err(msg)?;
         let pam = Pam::parse_text(&pam_text, &mut taxa)?;
         if trees[0].universe() != taxa.len() {
             // PAM introduced extra labels: re-parse the tree over the
             // enlarged universe.
             let line = sp_text.lines().next().unwrap_or_default();
-            trees[0] =
-                phylo::newick::parse_newick(line, &taxa).map_err(|e| CliError(e.to_string()))?;
+            trees[0] = phylo::newick::parse_newick(line, &taxa).map_err(msg)?;
         }
-        let p = StandProblem::from_species_tree_and_pam(&trees[0], &pam)
-            .map_err(|e| CliError(e.to_string()))?;
+        let p = StandProblem::from_species_tree_and_pam(&trees[0], &pam).map_err(msg)?;
         return Ok((taxa, p));
     }
     err("provide --trees FILE, --dataset FILE, or --species FILE with --pam FILE")
 }
 
 fn config_from(a: &ParsedArgs) -> Result<GentriusConfig, CliError> {
-    if a.has("incremental") {
-        return err("--incremental: the incremental engine was removed; use --mapping");
-    }
     let defaults = StoppingRules::paper_defaults();
-    let max_trees = a
-        .get_parsed("max-trees", defaults.max_stand_trees.unwrap())
-        .map_err(|e| CliError(e.to_string()))?;
-    let max_states = a
-        .get_parsed("max-states", defaults.max_intermediate_states.unwrap())
-        .map_err(|e| CliError(e.to_string()))?;
-    let max_hours: f64 = a
-        .get_parsed("max-hours", 168.0)
-        .map_err(|e| CliError(e.to_string()))?;
+    let max_trees = a.get_parsed("max-trees", defaults.max_stand_trees.unwrap())?;
+    let max_states = a.get_parsed("max-states", defaults.max_intermediate_states.unwrap())?;
+    let max_hours: f64 = a.get_parsed("max-hours", 168.0)?;
+    let bad = |v: &str| CliError(format!("--initial-tree: bad index '{v}'"));
     let initial_tree = match a.get("initial-tree") {
         None => InitialTreeRule::MaxOverlap,
-        Some(v) => InitialTreeRule::Index(
-            v.parse()
-                .map_err(|_| CliError(format!("--initial-tree: bad index '{v}'")))?,
-        ),
+        Some(v) => InitialTreeRule::Index(v.parse().map_err(|_| bad(v))?),
     };
     Ok(GentriusConfig {
         initial_tree,
@@ -235,6 +249,31 @@ fn config_from(a: &ParsedArgs) -> Result<GentriusConfig, CliError> {
     })
 }
 
+/// The engine settings `stand` and `stand resume` share.
+fn engine_config(a: &ParsedArgs, threads: usize) -> Result<ParallelConfig, CliError> {
+    let mut pcfg = ParallelConfig::with_threads(threads);
+    pcfg.adaptive_split = !a.has("no-adaptive-split");
+    pcfg.stop_poll_stride = a.get_parsed("stop-poll-stride", pcfg.stop_poll_stride)?;
+    if a.has("coarse-flush") {
+        pcfg.flush = FlushThresholds::coarse();
+    }
+    Ok(pcfg)
+}
+
+/// `--checkpoint-every SECS`, which must be a positive number.
+fn checkpoint_every(a: &ParsedArgs) -> Result<Option<Duration>, CliError> {
+    let Some(v) = a.get("checkpoint-every") else {
+        return Ok(None);
+    };
+    let secs: f64 = v
+        .parse()
+        .map_err(|_| CliError(format!("--checkpoint-every: bad seconds '{v}'")))?;
+    if secs.is_nan() || secs <= 0.0 {
+        return err("--checkpoint-every: must be a positive number of seconds");
+    }
+    Ok(Some(Duration::from_secs_f64(secs)))
+}
+
 fn stop_str(stop: Option<StopCause>) -> &'static str {
     match stop {
         None => "complete enumeration",
@@ -244,521 +283,168 @@ fn stop_str(stop: Option<StopCause>) -> &'static str {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoint / resume plumbing
-// ---------------------------------------------------------------------------
-
-/// `FILE.stand` → `FILE.standckpt` (the checkpoint sidecar path).
-fn ckpt_path_for(output: &str) -> PathBuf {
-    PathBuf::from(format!("{output}ckpt"))
-}
-
-/// Removes stale segment files next to `output` — `{output}.seg{i}` from
-/// the plain parallel path and `{output}.g{gen}.seg{i}` from checkpointed
-/// epochs — except the paths in `keep` (segments a checkpoint still
-/// references). A previous crashed run at a *higher* thread count leaves
-/// segments no current-run index will ever name, so a prefix sweep of the
-/// directory is the only reliable cleanup. Returns how many files went.
-fn clean_stale_segments(output: &str, keep: &[PathBuf]) -> Result<usize, CliError> {
-    let out_path = Path::new(output);
-    let dir = match out_path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    let Some(fname) = out_path.file_name().and_then(|n| n.to_str()) else {
-        return Ok(0);
-    };
-    let keep_names: Vec<std::ffi::OsString> = keep
-        .iter()
-        .filter_map(|p| p.file_name().map(Into::into))
-        .collect();
-    // A missing parent directory is not this function's error to report:
-    // creating the output will fail loudly a moment later.
-    let entries = match std::fs::read_dir(&dir) {
-        Ok(e) => e,
-        Err(_) => return Ok(0),
-    };
-    let mut removed = 0usize;
-    for entry in entries.flatten() {
-        if !entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
-            continue;
-        }
-        let name_os = entry.file_name();
-        let Some(name) = name_os.to_str() else {
-            continue;
+/// The report `stand` (and, `resumed`, `stand resume`) prints after its
+/// header line: the files swept, counters, collection shortfall, scheduler
+/// activity (not on resume), status, time and the checkpoint lines.
+fn summary(out: &mut String, threads: usize, spec: &RunSpec<'_>, r: &RunReport, resumed: bool) {
+    if let n @ 1.. = r.stale_segments {
+        let from = if resumed {
+            "the interrupted epoch"
+        } else {
+            "a previous run"
         };
-        let is_seg = name.strip_prefix(fname).is_some_and(|rest| {
-            rest.starts_with(".seg") || (rest.starts_with(".g") && rest.contains(".seg"))
-        });
-        if !is_seg || keep_names.contains(&name_os) {
-            continue;
-        }
-        std::fs::remove_file(entry.path())
-            .map_err(|e| CliError(format!("{}: {e}", entry.path().display())))?;
-        removed += 1;
+        writeln!(out, "note: removed {n} stale segment file(s) from {from}").unwrap();
     }
-    Ok(removed)
-}
-
-/// Drop guard over in-flight segment files: any early return between
-/// segment creation and the final merge (a failed `finish`, a failed
-/// `merge_segments`) would otherwise orphan `.seg{i}` files on disk.
-/// Disarm after the segments have been merged (or handed over to a
-/// checkpoint that references them).
-struct SegGuard {
-    paths: Vec<PathBuf>,
-    armed: bool,
-}
-
-impl SegGuard {
-    fn new() -> Self {
-        SegGuard {
-            paths: Vec::new(),
-            armed: true,
-        }
-    }
-
-    fn track(&mut self, p: PathBuf) {
-        self.paths.push(p);
-    }
-
-    fn disarm(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for SegGuard {
-    fn drop(&mut self) {
-        if self.armed {
-            for p in &self.paths {
-                // Best effort: most tracked paths never get created
-                // (threads that emitted nothing), and cleanup must not
-                // mask the error that is already propagating.
-                let _ = std::fs::remove_file(p);
-            }
-        }
-    }
-}
-
-/// Serializes the run header + frontier into a [`Checkpoint`].
-#[allow(clippy::too_many_arguments)]
-fn build_checkpoint(
-    taxa: &TaxonSet,
-    problem: &StandProblem,
-    config: &GentriusConfig,
-    threads: usize,
-    initial_tree: usize,
-    stats: RunStats,
-    generation: u64,
-    output: &str,
-    segments: &[PathBuf],
-    tasks: &[Task],
-) -> Checkpoint {
-    let taxa_names: Vec<String> = taxa.iter().map(|(_, n)| n.to_string()).collect();
-    let constraints: Vec<String> = problem
-        .constraints()
-        .iter()
-        .map(|t| to_newick(t, taxa))
-        .collect();
-    Checkpoint {
-        problem_hash: gentrius_standfile::ckpt::problem_hash(&taxa_names, &constraints),
-        mapping: config.mapping,
-        order_code: tasks.first().map(|t| t.snapshot.order_code()).unwrap_or(0),
-        threads,
-        initial_tree,
-        stopping: config.stopping.clone(),
-        stats,
-        generation,
-        output: output.to_string(),
-        taxa: taxa_names,
-        constraints,
-        segments: segments.iter().map(|p| p.display().to_string()).collect(),
-        tasks: tasks
-            .iter()
-            .map(|t| CkptTask {
-                taxon: t.taxon.0,
-                branches: t.branches.iter().map(|e| e.0).collect(),
-                depth: t.depth as u64,
-                remaining: t.snapshot.remaining().iter().map(|x| x.0).collect(),
-                tree: t.snapshot.agile().dump_arena(),
-            })
-            .collect(),
-    }
-}
-
-/// Rebuilds the problem, config and pending tasks from a decoded
-/// checkpoint. Every reconstructed snapshot is re-validated against the
-/// reconstructed problem ([`StateSnapshot::from_parts`]) and every task's
-/// branches against its snapshot ([`checked_branches`]), so a checkpoint
-/// that passed the checksum but carries an inconsistent frontier — a task
-/// tree with the wrong taxa, one that conflicts with a constraint, or a
-/// branch the search would never take — is rejected with an error rather
-/// than enumerating wrong stands.
-fn restore_checkpoint(
-    c: &Checkpoint,
-) -> Result<(TaxonSet, StandProblem, GentriusConfig, Vec<Task>), CliError> {
-    let mut taxa = TaxonSet::new();
-    for name in &c.taxa {
-        taxa.intern(name);
-    }
-    let mut trees = Vec::with_capacity(c.constraints.len());
-    for (i, nwk) in c.constraints.iter().enumerate() {
-        trees.push(
-            phylo::newick::parse_newick(nwk, &taxa)
-                .map_err(|e| CliError(format!("checkpoint constraint {}: {e}", i + 1)))?,
-        );
-    }
-    let problem = StandProblem::from_constraints(trees).map_err(|e| CliError(e.to_string()))?;
-    let taxon_order = match c.order_code {
-        0 => TaxonOrderRule::ById,
-        1 => TaxonOrderRule::Dynamic,
-        2 => TaxonOrderRule::DynamicByConstraints,
-        other => return err(format!("checkpoint: unknown order-engine code {other}")),
-    };
-    let config = GentriusConfig {
-        initial_tree: InitialTreeRule::Index(c.initial_tree),
-        taxon_order,
-        stopping: c.stopping.clone(),
-        mapping: c.mapping,
-    };
-    let mut tasks = Vec::with_capacity(c.tasks.len());
-    for (i, t) in c.tasks.iter().enumerate() {
-        let bad = |e: String| CliError(format!("checkpoint task {}: {e}", i + 1));
-        let tree = Tree::from_arena_dump(&t.tree).map_err(|e| bad(e.to_string()))?;
-        let remaining: Vec<TaxonId> = t.remaining.iter().map(|&x| TaxonId(x)).collect();
-        let snap = StateSnapshot::from_parts(&problem, tree, remaining, c.order_code, c.mapping)
-            .map_err(|e| bad(e.to_string()))?;
-        if !t.branches.is_empty() && !snap.remaining().contains(&TaxonId(t.taxon)) {
-            return Err(bad(format!("pending taxon {} is not remaining", t.taxon)));
-        }
-        let branches = checked_branches(&problem, &snap, t).map_err(bad)?;
-        tasks.push(Task::new(
-            snap,
-            TaxonId(t.taxon),
-            branches,
-            usize::try_from(t.depth).unwrap_or(usize::MAX),
-        ));
-    }
-    Ok((taxa, problem, config, tasks))
-}
-
-/// A checkpoint task's branches, each required to be a distinct live edge
-/// of the restored tree that the restored state admits for the task
-/// taxon. Otherwise an out-of-range id would index past the tree arena, a
-/// freed slot would be rewired, a repeat would enumerate a subtree twice,
-/// and an inadmissible edge would enumerate trees outside the stand.
-fn checked_branches(
-    problem: &StandProblem,
-    snap: &StateSnapshot,
-    t: &CkptTask,
-) -> Result<Vec<EdgeId>, String> {
-    if t.branches.is_empty() {
-        return Ok(Vec::new());
-    }
-    let tree = snap.agile();
-    let admissible =
-        SearchState::resume(problem, snap.clone()).admissible_branches(TaxonId(t.taxon));
-    let mut seen = vec![false; tree.edge_id_bound()];
-    for &id in &t.branches {
-        let e = EdgeId(id);
-        if !tree.edge_alive(e) {
-            return Err(format!(
-                "branch edge {id} is not a live edge of the task tree"
-            ));
-        }
-        if std::mem::replace(&mut seen[e.index()], true) {
-            return Err(format!("branch edge {id} is listed twice"));
-        }
-        if admissible.binary_search(&e).is_err() {
-            return Err(format!(
-                "branch edge {id} is not admissible for taxon {}",
-                t.taxon
-            ));
-        }
-    }
-    Ok(t.branches.iter().map(|&x| EdgeId(x)).collect())
-}
-
-/// Seed state for [`run_stand_epochs`]: where the run picks up.
-struct EpochInit {
-    /// Next epoch number (namespaces this run's new segment files).
-    gen: u64,
-    /// Finalized segments from previous epochs, merged at the end.
-    segments: Vec<PathBuf>,
-    /// Counter totals carried over from previous epochs.
-    base: RunStats,
-    /// `None` → fresh run (serial prefix + initial split); `Some` →
-    /// re-inject these frontier descriptors.
-    frontier: Option<Vec<Task>>,
-}
-
-/// The checkpointed container run: repeats engine epochs, writing the
-/// pending frontier to `FILE.standckpt` every `ckpt_every` seconds, until
-/// the enumeration completes, a count limit fires, or the wall-clock
-/// budget runs out (which leaves a final checkpoint for `stand resume`).
-///
-/// Durability order per epoch: segments are finalized (footer written)
-/// *before* the checkpoint naming them is renamed into place, so a crash
-/// at any point leaves either a fully consistent checkpoint or none.
-#[allow(clippy::too_many_arguments)]
-fn run_stand_epochs(
-    taxa: &TaxonSet,
-    problem: &StandProblem,
-    config: &GentriusConfig,
-    pcfg: &ParallelConfig,
-    path: &str,
-    emit_batch: usize,
-    ckpt_every: f64,
-    init: EpochInit,
-) -> Result<(ParallelRunResult, Option<ContainerSummary>, String), CliError> {
-    let started = Instant::now();
-    let ckpt_path = ckpt_path_for(path);
-    let mut gen = init.gen;
-    let mut segments = init.segments;
-    let mut base = init.base;
-    let mut frontier = init.frontier;
-    let mut extra = String::new();
-    let mut epochs = 0u64;
-    loop {
-        // Rebase the wall-clock budget: the engine's monitor measures from
-        // epoch start, but stopping rule 3 bounds the whole invocation.
-        let mut cfg = config.clone();
-        if let Some(max) = config.stopping.max_time {
-            cfg.stopping.max_time = Some(max.saturating_sub(started.elapsed()));
-        }
-        let mut epcfg = pcfg.clone();
-        if let Some(m) = &mut epcfg.monitor {
-            m.checkpoint_every = Some(Duration::from_secs_f64(ckpt_every));
-        }
-        let gen_now = gen;
-        let seg_path = move |i: usize| PathBuf::from(format!("{path}.g{gen_now}.seg{i}"));
-        let mut guard = SegGuard::new();
-        for i in 0..=epcfg.threads {
-            guard.track(seg_path(i));
-        }
-        let resume = frontier.take().map(|tasks| ResumeFrontier { tasks, base });
-        let (mut r, sinks, captured) = run_parallel_epoch(
-            problem,
-            &cfg,
-            &epcfg,
-            |i| {
-                BatchingSink::new(
-                    ContainerSink::create(&seg_path(i), taxa),
-                    emit_batch.max(64),
-                )
-            },
-            resume,
-            true,
+    if let Some(cp) = &r.stale_checkpoint {
+        writeln!(
+            out,
+            "note: removed stale checkpoint {} (this is a fresh run; use 'gentrius stand \
+             resume' to continue a previous one)",
+            cp.display()
         )
-        .map_err(|e| CliError(e.to_string()))?;
-        // Finalize this epoch's segments before any checkpoint can name
-        // them; segments that collected nothing are dropped immediately.
-        for (i, s) in sinks.into_iter().enumerate() {
-            let p = seg_path(i);
-            let summary = s
-                .into_inner()
-                .finish()
-                .map_err(|e| CliError(format!("{}: {e}", p.display())))?;
-            if summary.trees > 0 {
-                segments.push(p);
-            } else {
-                std::fs::remove_file(&p).map_err(|e| CliError(format!("{}: {e}", p.display())))?;
-            }
-        }
-        base = r.stats;
-        epochs += 1;
-        r.elapsed = started.elapsed();
-        let count_stop = matches!(
-            r.stop,
-            Some(StopCause::StandTreeLimit | StopCause::StateLimit)
-        );
-        if captured.is_empty() || count_stop {
-            // Terminal: the enumeration is done (or a count limit ended it
-            // for good). Merge everything and retire the checkpoint.
-            let summary = merge_segments(Path::new(path), taxa, &segments)
-                .map_err(|e| CliError(format!("{path}: {e}")))?;
-            let _ = std::fs::remove_file(&ckpt_path);
-            guard.disarm();
-            if epochs > 1 {
-                writeln!(extra, "checkpoint epochs: {epochs}").unwrap();
-            }
-            return Ok((r, Some(summary), extra));
-        }
-        gen += 1;
-        let ck = build_checkpoint(
-            taxa,
-            problem,
-            config,
-            epcfg.threads,
-            r.initial_tree,
-            r.stats,
-            gen,
-            path,
-            &segments,
-            &captured,
-        );
-        ck.write_atomic(&ckpt_path)
-            .map_err(|e| CliError(format!("{}: {e}", ckpt_path.display())))?;
-        // The checkpoint now owns this epoch's segments.
-        guard.disarm();
-        if matches!(r.stop, Some(StopCause::TimeLimit)) {
-            writeln!(extra, "checkpoint epochs: {epochs}").unwrap();
+        .unwrap();
+    }
+    writeln!(out, "threads: {threads}").unwrap();
+    writeln!(out, "mapping: {}", spec.config.mapping).unwrap();
+    writeln!(out, "stand trees: {}", r.stats.stand_trees).unwrap();
+    writeln!(out, "intermediate states: {}", r.stats.intermediate_states).unwrap();
+    writeln!(out, "dead ends: {}", r.stats.dead_ends).unwrap();
+    // Honesty about the in-memory collection cap: the run counted every
+    // stand tree, but each context's collector keeps at most the cap.
+    if let Output::Collect { cap } = spec.output {
+        let (collected, total) = (r.trees.len() as u64, r.stats.stand_trees);
+        if collected < total {
             writeln!(
-                extra,
-                "checkpoint: {} ({} pending tasks; continue with 'gentrius stand resume {}')",
-                ckpt_path.display(),
-                captured.len(),
-                ckpt_path.display()
+                out,
+                "truncated: true (collected {collected} of {total} stand trees)"
             )
             .unwrap();
-            return Ok((r, None, extra));
+            writeln!(
+                out,
+                "warning: in-memory collection capped at --max-collect {cap}; \
+                 raise it or stream to a container with --output FILE.stand"
+            )
+            .unwrap();
         }
-        frontier = Some(captured);
+    }
+    if let (false, Some(e)) = (resumed, &r.engine) {
+        let s = &e.scheduler;
+        writeln!(
+            out,
+            "scheduler: {} tasks, {} splits, {} steals ({} empty sweeps), {} parks, {} injected, {} deque grows",
+            s.executed, s.splits, s.steals, s.failed_steals, s.parks, e.injected, e.deque_grows
+        )
+        .unwrap();
+    }
+    writeln!(out, "status: {}", stop_str(r.stop)).unwrap();
+    writeln!(out, "time: {:.3}s", r.elapsed.as_secs_f64()).unwrap();
+    if r.sidecar.is_some() || r.epochs > 1 {
+        writeln!(out, "checkpoint epochs: {}", r.epochs).unwrap();
+    }
+    if let Some((path, pending)) = &r.sidecar {
+        let p = path.display();
+        writeln!(
+            out,
+            "checkpoint: {p} ({pending} pending tasks; continue with 'gentrius stand resume {p}')"
+        )
+        .unwrap();
+    }
+}
+
+/// The line naming a finished container, if the run finished one.
+fn container_line(out: &mut String, summary: Option<ContainerSummary>, path: &str) {
+    if let Some(c) = summary {
+        let (trees, blocks) = (c.trees, c.blocks);
+        writeln!(
+            out,
+            "wrote {trees} trees to {path} ({blocks} blocks, .stand container)"
+        )
+        .unwrap();
     }
 }
 
 /// Resumes a checkpointed container run: `gentrius stand resume
 /// FILE.standckpt [--threads N] [--checkpoint-every SECS]`.
 fn cmd_stand_resume(a: &ParsedArgs) -> Result<String, CliError> {
-    let Some(path) = a
-        .positional
-        .get(2)
-        .map(|s| s.as_str())
-        .or_else(|| a.get("input"))
-    else {
+    let Some(path) = a.positional.get(2).map(String::as_str).or(a.get("input")) else {
         return err(
             "stand resume requires a checkpoint path: gentrius stand resume FILE.standckpt \
              [--threads N] [--checkpoint-every SECS]",
         );
     };
-    let ck = Checkpoint::read(Path::new(path)).map_err(|e| CliError(format!("{path}: {e}")))?;
-    let (taxa, problem, config, tasks) = restore_checkpoint(&ck)?;
-    let threads: usize = a
-        .get_parsed("threads", ck.threads.max(1))
-        .map_err(|e| CliError(e.to_string()))?;
-    let threads = threads.max(1);
-    let ckpt_every: f64 = a
-        .get_parsed("checkpoint-every", 60.0f64)
-        .map_err(|e| CliError(e.to_string()))?;
-    if ckpt_every.is_nan() || ckpt_every <= 0.0 {
-        return err("--checkpoint-every: must be a positive number of seconds");
-    }
-    let emit_batch: usize = a
-        .get_parsed("emit-batch", 1usize)
-        .map_err(|e| CliError(e.to_string()))?;
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "resuming {path} -> {} ({} pending tasks, {} stand trees so far, epoch {})",
+    let ck = Checkpoint::read(Path::new(path)).map_err(|e| at(path, e))?;
+    let restored = pipeline::restore(&ck)?;
+    let threads = a.get_parsed("threads", ck.threads.max(1))?.max(1);
+    let every = checkpoint_every(a)?.unwrap_or(Duration::from_secs(60));
+    let mut out = format!(
+        "resuming {path} -> {} ({} pending tasks, {} stand trees so far, epoch {})\n",
         ck.output,
-        tasks.len(),
+        restored.frontier.tasks.len(),
         ck.stats.stand_trees,
         ck.generation
-    )
-    .unwrap();
-    // Segments the interrupted epoch was writing when it died are not in
-    // the checkpoint and must not survive into the merge.
-    let keep: Vec<PathBuf> = ck.segments.iter().map(PathBuf::from).collect();
-    for s in &keep {
-        if !s.is_file() {
-            return err(format!(
-                "{}: segment referenced by the checkpoint is missing",
-                s.display()
-            ));
-        }
-    }
-    let removed = clean_stale_segments(&ck.output, &keep)?;
-    if removed > 0 {
-        writeln!(
-            out,
-            "note: removed {removed} stale segment file(s) from the interrupted epoch"
-        )
-        .unwrap();
-    }
-
-    let mut pcfg = ParallelConfig::with_threads(threads);
-    pcfg.adaptive_split = !a.has("no-adaptive-split");
-    pcfg.stop_poll_stride = a
-        .get_parsed("stop-poll-stride", pcfg.stop_poll_stride)
-        .map_err(|e| CliError(e.to_string()))?;
-    if a.has("coarse-flush") {
-        pcfg.flush = gentrius_parallel::FlushThresholds::coarse();
-    }
-    let (r, csum, extra) = run_stand_epochs(
-        &taxa,
-        &problem,
-        &config,
-        &pcfg,
-        &ck.output,
-        emit_batch,
-        ckpt_every,
-        EpochInit {
-            gen: ck.generation,
-            segments: keep,
-            base: ck.stats,
-            frontier: Some(tasks),
+    );
+    let spec = RunSpec {
+        taxa: &restored.taxa,
+        problem: &restored.problem,
+        config: restored.config,
+        driver: Driver::Engine(engine_config(a, threads)?),
+        output: Output::Container {
+            path: ck.output.clone().into(),
+            checkpoint_every: Some(every),
         },
-    )?;
-    writeln!(out, "threads: {threads}").unwrap();
-    writeln!(out, "mapping: {}", config.mapping).unwrap();
-    writeln!(out, "stand trees: {}", r.stats.stand_trees).unwrap();
-    writeln!(out, "intermediate states: {}", r.stats.intermediate_states).unwrap();
-    writeln!(out, "dead ends: {}", r.stats.dead_ends).unwrap();
-    writeln!(out, "status: {}", stop_str(r.stop)).unwrap();
-    writeln!(out, "time: {:.3}s", r.elapsed.as_secs_f64()).unwrap();
-    out.push_str(&extra);
-    if let Some(csum) = csum {
-        writeln!(
-            out,
-            "wrote {} trees to {} ({} blocks, .stand container)",
-            csum.trees, ck.output, csum.blocks
-        )
-        .unwrap();
-    }
+    };
+    let report = pipeline::resume(&spec, restored.frontier)?;
+    summary(&mut out, threads, &spec, &report, true);
+    container_line(&mut out, report.container, &ck.output);
     Ok(out)
 }
 
 fn cmd_stand(a: &ParsedArgs) -> Result<String, CliError> {
     let (taxa, problem) = load_problem(a)?;
     let config = config_from(a)?;
-    let threads: usize = a
-        .get_parsed("threads", 1usize)
-        .map_err(|e| CliError(e.to_string()))?;
+    let threads: usize = a.get_parsed("threads", 1usize)?;
+    // An output path ending in `.stand` selects the streaming container:
+    // trees go to disk as they are generated, memory stays bounded by one
+    // block, and no in-memory collection cap applies.
     let output = a.get("output");
-    // An output path ending in `.stand` selects the streaming container
-    // path: trees go to disk as they are generated, memory stays bounded
-    // by one block, and no in-memory collection cap applies.
-    let container_output = output.filter(|p| p.ends_with(".stand"));
-    let legacy_output = if container_output.is_some() {
-        None
-    } else {
-        output
-    };
-    let max_collect: usize = a
-        .get_parsed("max-collect", 10_000_000usize)
-        .map_err(|e| CliError(e.to_string()))?;
-    let want_collect =
-        legacy_output.is_some() || (a.has("print-trees") && container_output.is_none());
-    let cap = if want_collect { max_collect } else { 0 };
-    let ckpt_every: Option<f64> = match a.get("checkpoint-every") {
-        None => None,
-        Some(v) => {
-            let secs: f64 = v
-                .parse()
-                .map_err(|_| CliError(format!("--checkpoint-every: bad seconds '{v}'")))?;
-            if secs.is_nan() || secs <= 0.0 {
-                return err("--checkpoint-every: must be a positive number of seconds");
-            }
-            Some(secs)
-        }
-    };
-    if ckpt_every.is_some() && container_output.is_none() {
+    let container = output.filter(|p| p.ends_with(".stand"));
+    let newick_file = output.filter(|_| container.is_none());
+    let max_collect: usize = a.get_parsed("max-collect", 10_000_000usize)?;
+    let every = checkpoint_every(a)?;
+    if every.is_some() && container.is_none() {
         return err(
             "--checkpoint-every requires --output FILE.stand (checkpoints append to a \
              .stand container)",
         );
     }
+    let (metrics_path, trace_path) = (a.get("metrics-json"), a.get("trace-json"));
+    // The exports serialize the engine's result, so either flag routes the
+    // run through the engine (which supports --threads 1); so does
+    // checkpointing, whose frontier only exists in the engine.
+    let engine = threads > 1 || metrics_path.is_some() || trace_path.is_some() || every.is_some();
+    let spec = RunSpec {
+        taxa: &taxa,
+        problem: &problem,
+        config,
+        driver: if engine {
+            let mut pcfg = engine_config(a, threads.max(1))?;
+            pcfg.trace = trace_path.is_some();
+            Driver::Engine(pcfg)
+        } else {
+            Driver::Serial
+        },
+        output: match container {
+            Some(path) => Output::Container {
+                path: path.into(),
+                checkpoint_every: every,
+            },
+            None if newick_file.is_some() || a.has("print-trees") => {
+                Output::Collect { cap: max_collect }
+            }
+            None => Output::Count,
+        },
+    };
+    let report = pipeline::run(&spec)?;
 
     let mut out = String::new();
     writeln!(
@@ -768,257 +454,61 @@ fn cmd_stand(a: &ParsedArgs) -> Result<String, CliError> {
         problem.num_taxa()
     )
     .unwrap();
-
-    if let Some(path) = container_output {
-        // A previous crashed run may have left segment files (possibly
-        // from a higher thread count, so no index loop can name them all)
-        // and a checkpoint next to the output; a fresh run must not let
-        // either survive beside — or get merged into — its container.
-        let removed = clean_stale_segments(path, &[])?;
-        if removed > 0 {
-            writeln!(
-                out,
-                "note: removed {removed} stale segment file(s) from a previous run"
-            )
-            .unwrap();
-        }
-        let cp = ckpt_path_for(path);
-        if cp.is_file() {
-            std::fs::remove_file(&cp).map_err(|e| CliError(format!("{}: {e}", cp.display())))?;
-            writeln!(
-                out,
-                "note: removed stale checkpoint {} (this is a fresh run; use 'gentrius stand \
-                 resume' to continue a previous one)",
-                cp.display()
-            )
-            .unwrap();
-        }
-    }
-
-    let metrics_path = a.get("metrics-json");
-    let trace_path = a.get("trace-json");
-    // The exports serialize a ParallelRunResult, so either flag routes the
-    // run through the parallel engine (which supports --threads 1); so
-    // does checkpointing, whose frontier only exists in the engine.
-    let use_parallel =
-        threads > 1 || metrics_path.is_some() || trace_path.is_some() || ckpt_every.is_some();
-
-    let mut export_lines = String::new();
-    let (stats, stop, elapsed, mut newicks, sched, container_summary) = if !use_parallel {
-        if let Some(path) = container_output {
-            let mut sink = ContainerSink::create(Path::new(path), &taxa);
-            let r = problem_run_serial(&problem, &config, &mut sink)?;
-            let summary = sink
-                .finish()
-                .map_err(|e| CliError(format!("{path}: {e}")))?;
-            (r.stats, r.stop, r.elapsed, Vec::new(), None, Some(summary))
-        } else {
-            let mut sink = CollectNewick::with_cap(&taxa, cap);
-            let r = problem_run_serial(&problem, &config, &mut sink)?;
-            (r.stats, r.stop, r.elapsed, sink.out, None, None)
-        }
-    } else {
-        let mut pcfg = ParallelConfig::with_threads(threads);
-        pcfg.trace = trace_path.is_some();
-        pcfg.adaptive_split = !a.has("no-adaptive-split");
-        pcfg.stop_poll_stride = a
-            .get_parsed("stop-poll-stride", pcfg.stop_poll_stride)
-            .map_err(|e| CliError(e.to_string()))?;
-        if a.has("coarse-flush") {
-            pcfg.flush = gentrius_parallel::FlushThresholds::coarse();
-        }
-        let emit_batch: usize = a
-            .get_parsed("emit-batch", 1usize)
-            .map_err(|e| CliError(e.to_string()))?;
-        // Batching only pays when trees are kept: a count-only collector
-        // (cap 0) discards immediately, so buffering would add clones for
-        // nothing.
-        let (r, merged, csum) = if let Some(path) = container_output {
-            if let Some(every) = ckpt_every {
-                let (r, csum, extra) = run_stand_epochs(
-                    &taxa,
-                    &problem,
-                    &config,
-                    &pcfg,
-                    path,
-                    emit_batch,
-                    every,
-                    EpochInit {
-                        gen: 0,
-                        segments: Vec::new(),
-                        base: RunStats::new(),
-                        frontier: None,
-                    },
-                )?;
-                export_lines.push_str(&extra);
-                (r, Vec::new(), csum)
-            } else {
-                // One container segment per engine context (0 = the serial
-                // prefix, 1.. = workers), merged by raw block copy
-                // afterwards: workers never contend on one writer, and each
-                // encodes its trees in bursts of at least 64 behind a
-                // BatchingSink that recycles their buffers. The guard
-                // removes the segments if finish or merge fails; otherwise
-                // the merge consumed them.
-                let seg_path = |i: usize| PathBuf::from(format!("{path}.seg{i}"));
-                let mut guard = SegGuard::new();
-                for i in 0..=pcfg.threads {
-                    guard.track(seg_path(i));
-                }
-                let (r, sinks) = run_parallel_with_sinks(&problem, &config, &pcfg, |i| {
-                    BatchingSink::new(
-                        ContainerSink::create(&seg_path(i), &taxa),
-                        emit_batch.max(64),
-                    )
-                })
-                .map_err(|e| CliError(e.to_string()))?;
-                let mut segs = Vec::new();
-                for (i, s) in sinks.into_iter().enumerate() {
-                    let p = seg_path(i);
-                    s.into_inner()
-                        .finish()
-                        .map_err(|e| CliError(format!("{}: {e}", p.display())))?;
-                    segs.push(p);
-                }
-                let summary = merge_segments(Path::new(path), &taxa, &segs)
-                    .map_err(|e| CliError(format!("{path}: {e}")))?;
-                guard.disarm();
-                (r, Vec::new(), Some(summary))
-            }
-        } else if want_collect && emit_batch > 1 {
-            let (r, sinks) = run_parallel_with_sinks(&problem, &config, &pcfg, |_| {
-                BatchingSink::new(CollectNewick::with_cap(&taxa, cap), emit_batch)
-            })
-            .map_err(|e| CliError(e.to_string()))?;
-            let merged = canonical_stand_set(sinks.into_iter().map(|s| s.into_inner().out));
-            (r, merged, None)
-        } else {
-            let (r, sinks) = run_parallel_with_sinks(&problem, &config, &pcfg, |_| {
-                CollectNewick::with_cap(&taxa, cap)
-            })
-            .map_err(|e| CliError(e.to_string()))?;
-            let merged = canonical_stand_set(sinks.into_iter().map(|s| s.out));
-            (r, merged, None)
-        };
+    summary(&mut out, threads, &spec, &report, false);
+    if let (Some(r), Driver::Engine(pcfg)) = (&report.engine, &spec.driver) {
         if let Some(path) = metrics_path {
-            let mut f =
-                std::fs::File::create(path).map_err(|e| CliError(format!("{path}: {e}")))?;
-            gentrius_parallel::obs::write_run_metrics(&mut f, &r, &pcfg.flush)
-                .map_err(|e| CliError(format!("{path}: {e}")))?;
+            let mut f = std::fs::File::create(path).map_err(|e| at(path, e))?;
+            write_run_metrics(&mut f, r, &pcfg.flush).map_err(|e| at(path, e))?;
             writeln!(
-                export_lines,
-                "wrote run metrics (schema v{}) to {path}",
-                gentrius_parallel::obs::METRICS_VERSION
+                out,
+                "wrote run metrics (schema v{METRICS_VERSION}) to {path}"
             )
             .unwrap();
         }
         if let Some(path) = trace_path {
-            let mut f =
-                std::fs::File::create(path).map_err(|e| CliError(format!("{path}: {e}")))?;
-            gentrius_parallel::obs::write_chrome_trace(&mut f, &r)
-                .map_err(|e| CliError(format!("{path}: {e}")))?;
+            let mut f = std::fs::File::create(path).map_err(|e| at(path, e))?;
+            write_chrome_trace(&mut f, r).map_err(|e| at(path, e))?;
             let spans: usize = r.workers.iter().map(|w| w.spans.len()).sum();
-            writeln!(
-                export_lines,
-                "wrote chrome trace ({spans} task spans) to {path}"
-            )
-            .unwrap();
+            writeln!(out, "wrote chrome trace ({spans} task spans) to {path}").unwrap();
         }
-        (r.stats, r.stop, r.elapsed, merged, Some(r.scheduler), csum)
-    };
-
-    writeln!(out, "threads: {threads}").unwrap();
-    writeln!(out, "mapping: {}", config.mapping).unwrap();
-    writeln!(out, "stand trees: {}", stats.stand_trees).unwrap();
-    writeln!(out, "intermediate states: {}", stats.intermediate_states).unwrap();
-    writeln!(out, "dead ends: {}", stats.dead_ends).unwrap();
-    // Honesty about the in-memory collection cap: the engine counted every
-    // stand tree, but the collectors keep at most --max-collect each.
-    let collected = newicks.len() as u64;
-    let truncated = want_collect && collected < stats.stand_trees;
-    if truncated {
-        writeln!(
-            out,
-            "truncated: true (collected {collected} of {} stand trees)",
-            stats.stand_trees
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "warning: in-memory collection capped at --max-collect {max_collect}; \
-             raise it or stream to a container with --output FILE.stand"
-        )
-        .unwrap();
     }
-    if let Some(s) = &sched {
-        writeln!(
-            out,
-            "scheduler: {} tasks, {} splits, {} steals ({} empty sweeps), {} parks, {} injected, {} deque grows",
-            s.executed, s.splits, s.steals, s.failed_steals, s.parks, s.injected, s.deque_grows
-        )
-        .unwrap();
-    }
-    writeln!(out, "status: {}", stop_str(stop)).unwrap();
-    writeln!(out, "time: {:.3}s", elapsed.as_secs_f64()).unwrap();
-    out.push_str(&export_lines);
 
-    if let Some(path) = container_output {
-        // A checkpointed run that hit the time limit has no merged
-        // container yet (only segments + the checkpoint), so there is
-        // nothing to summarize or read back.
-        let have_container = container_summary.is_some();
-        if let Some(csum) = container_summary {
-            writeln!(
-                out,
-                "wrote {} trees to {path} ({} blocks, .stand container)",
-                csum.trees, csum.blocks
-            )
-            .unwrap();
-        }
-        if a.has("print-trees") && have_container {
+    let mut trees = report.trees;
+    if let Some(path) = container {
+        container_line(&mut out, report.container, path);
+        // A checkpointed run the clock stopped has no merged container yet
+        // (only segments and the sidecar), so there is nothing to read back.
+        if a.has("print-trees") && report.container.is_some() {
             // Read back from the container instead of teeing into RAM
-            // during the run; sorted so the printed set matches the
-            // collect path's canonical order.
-            let mut c =
-                Container::open(Path::new(path)).map_err(|e| CliError(format!("{path}: {e}")))?;
-            let mut all = Vec::with_capacity(usize::try_from(c.len()).unwrap_or(0));
+            // during the run, sorted like the collected trees.
+            let mut c = Container::open(Path::new(path)).map_err(|e| at(path, e))?;
             c.for_each_newick(0, u64::MAX, |_, nwk| {
-                all.push(nwk.to_string());
+                trees.push(nwk.to_string());
                 Ok(())
             })
-            .map_err(|e| CliError(format!("{path}: {e}")))?;
-            all.sort();
-            for t in &all {
-                writeln!(out, "{t}").unwrap();
-            }
+            .map_err(|e| at(path, e))?;
+            trees.sort();
         }
-    } else if want_collect {
-        newicks.sort();
-        if let Some(path) = legacy_output {
-            // One line at a time through a BufWriter: `join` would build a
-            // second full copy of the stand in memory first.
-            let file = std::fs::File::create(path).map_err(|e| CliError(format!("{path}: {e}")))?;
-            let mut w = std::io::BufWriter::new(file);
-            for t in &newicks {
-                writeln!(w, "{t}").map_err(|e| CliError(format!("{path}: {e}")))?;
-            }
-            w.flush().map_err(|e| CliError(format!("{path}: {e}")))?;
-            if truncated {
-                writeln!(
-                    out,
-                    "wrote {} of {} trees to {path}",
-                    newicks.len(),
-                    stats.stand_trees
-                )
-                .unwrap();
-            } else {
-                writeln!(out, "wrote {} trees to {path}", newicks.len()).unwrap();
-            }
+    }
+    if let Some(path) = newick_file {
+        // One line at a time through a BufWriter: `join` would build a
+        // second full copy of the stand in memory first.
+        let file = std::fs::File::create(path).map_err(|e| at(path, e))?;
+        let mut w = std::io::BufWriter::new(file);
+        for t in &trees {
+            writeln!(w, "{t}").map_err(|e| at(path, e))?;
         }
-        if a.has("print-trees") {
-            for t in &newicks {
-                writeln!(out, "{t}").unwrap();
-            }
+        w.flush().map_err(|e| at(path, e))?;
+        let total = report.stats.stand_trees;
+        match trees.len() {
+            n if (n as u64) < total => writeln!(out, "wrote {n} of {total} trees to {path}"),
+            n => writeln!(out, "wrote {n} trees to {path}"),
+        }
+        .unwrap();
+    }
+    if a.has("print-trees") {
+        for t in &trees {
+            writeln!(out, "{t}").unwrap();
         }
     }
     Ok(out)
@@ -1036,37 +526,34 @@ fn cmd_stand_export(a: &ParsedArgs) -> Result<String, CliError> {
     let mut head = [0u8; 8];
     {
         use std::io::Read as _;
-        let mut f = std::fs::File::open(input).map_err(|e| CliError(format!("{input}: {e}")))?;
+        let mut f = std::fs::File::open(input).map_err(|e| at(input, e))?;
         // A short read leaves `head` without the magic, which routes tiny
         // files down the Newick path — correct, since no valid container
         // is under 8 bytes.
         let _ = f.read(&mut head);
     }
     if &head == gentrius_standfile::container::MAGIC {
-        let mut c =
-            Container::open(Path::new(input)).map_err(|e| CliError(format!("{input}: {e}")))?;
-        let file = std::fs::File::create(output).map_err(|e| CliError(format!("{output}: {e}")))?;
+        let mut c = Container::open(Path::new(input)).map_err(|e| at(input, e))?;
+        let file = std::fs::File::create(output).map_err(|e| at(output, e))?;
         let mut w = std::io::BufWriter::new(file);
         c.for_each_newick(0, u64::MAX, |_, nwk| {
             writeln!(w, "{nwk}").map_err(StandfileError::from)
         })
-        .map_err(|e| CliError(format!("{output}: {e}")))?;
-        w.flush().map_err(|e| CliError(format!("{output}: {e}")))?;
+        .map_err(|e| at(output, e))?;
+        w.flush().map_err(|e| at(output, e))?;
         Ok(format!(
             "exported {} trees from {input} to {output} (Newick)\n",
             c.len()
         ))
     } else {
-        let text = std::fs::read_to_string(input).map_err(|e| CliError(format!("{input}: {e}")))?;
-        let (taxa, trees) = parse_forest(text.lines()).map_err(|e| CliError(e.to_string()))?;
+        let text = std::fs::read_to_string(input).map_err(|e| at(input, e))?;
+        let (taxa, trees) = parse_forest(text.lines()).map_err(msg)?;
         let mut sink = ContainerSink::create(Path::new(output), &taxa);
         for t in &trees {
             use gentrius_core::StandSink as _;
             sink.stand_tree(t);
         }
-        let s = sink
-            .finish()
-            .map_err(|e| CliError(format!("{output}: {e}")))?;
+        let s = sink.finish().map_err(|e| at(output, e))?;
         Ok(format!(
             "packed {} trees from {input} into {output} ({} blocks, .stand container)\n",
             s.trees, s.blocks
@@ -1077,21 +564,12 @@ fn cmd_stand_export(a: &ParsedArgs) -> Result<String, CliError> {
 /// Pages trees out of a `.stand` container by index range without loading
 /// the whole stand (one decoded block in memory at a time).
 fn cmd_stand_cat(a: &ParsedArgs) -> Result<String, CliError> {
-    let Some(path) = a
-        .positional
-        .get(2)
-        .map(|s| s.as_str())
-        .or_else(|| a.get("input"))
-    else {
+    let Some(path) = a.positional.get(2).map(String::as_str).or(a.get("input")) else {
         return err("stand cat requires a container path: gentrius stand cat FILE.stand [--from N] [--count M]");
     };
-    let mut c = Container::open(Path::new(path)).map_err(|e| CliError(format!("{path}: {e}")))?;
-    let from: u64 = a
-        .get_parsed("from", 0u64)
-        .map_err(|e| CliError(e.to_string()))?;
-    let count: u64 = a
-        .get_parsed("count", u64::MAX)
-        .map_err(|e| CliError(e.to_string()))?;
+    let mut c = Container::open(Path::new(path)).map_err(|e| at(path, e))?;
+    let from: u64 = a.get_parsed("from", 0u64)?;
+    let count: u64 = a.get_parsed("count", u64::MAX)?;
     // `for_each_newick` treats an empty [from, from+count) range as a
     // silent no-op, which is right for `--count 0` but would let a --from
     // past the end masquerade as an empty container. Surface it instead.
@@ -1107,29 +585,20 @@ fn cmd_stand_cat(a: &ParsedArgs) -> Result<String, CliError> {
         out.push('\n');
         Ok(())
     })
-    .map_err(|e| CliError(format!("{path}: {e}")))?;
+    .map_err(|e| at(path, e))?;
     Ok(out)
-}
-
-fn problem_run_serial<S: gentrius_core::StandSink>(
-    problem: &StandProblem,
-    config: &GentriusConfig,
-    sink: &mut S,
-) -> Result<gentrius_core::RunResult, CliError> {
-    gentrius_core::run_serial(problem, config, sink).map_err(|e| CliError(e.to_string()))
 }
 
 fn cmd_induced(a: &ParsedArgs) -> Result<String, CliError> {
     let (Some(sp), Some(pp)) = (a.get("species"), a.get("pam")) else {
         return err("induced requires --species FILE and --pam FILE");
     };
-    let sp_text = std::fs::read_to_string(sp).map_err(|e| CliError(format!("{sp}: {e}")))?;
-    let pam_text = std::fs::read_to_string(pp).map_err(|e| CliError(format!("{pp}: {e}")))?;
-    let (mut taxa, _) =
-        parse_forest(sp_text.lines().take(1)).map_err(|e| CliError(e.to_string()))?;
+    let sp_text = std::fs::read_to_string(sp).map_err(|e| at(sp, e))?;
+    let pam_text = std::fs::read_to_string(pp).map_err(|e| at(pp, e))?;
+    let (mut taxa, _) = parse_forest(sp_text.lines().take(1)).map_err(msg)?;
     let pam = Pam::parse_text(&pam_text, &mut taxa)?;
     let line = sp_text.lines().next().unwrap_or_default();
-    let species = phylo::newick::parse_newick(line, &taxa).map_err(|e| CliError(e.to_string()))?;
+    let species = phylo::newick::parse_newick(line, &taxa).map_err(msg)?;
     let mut out = String::new();
     for sub in pam.induced_subtrees(&species) {
         writeln!(out, "{}", to_newick(&sub, &taxa)).unwrap();
@@ -1150,7 +619,7 @@ fn cmd_gen(a: &ParsedArgs) -> Result<String, CliError> {
             .ok_or_else(|| CliError(format!("unknown scenario '{name}' (try --scenario list)")))?;
         let text = dataset.to_text();
         return if let Some(path) = a.get("output") {
-            std::fs::write(path, &text).map_err(|e| CliError(format!("{path}: {e}")))?;
+            std::fs::write(path, &text).map_err(|e| at(path, e))?;
             Ok(format!(
                 "wrote scenario {} ({} taxa, {} loci) to {path}\n",
                 dataset.name,
@@ -1162,12 +631,8 @@ fn cmd_gen(a: &ParsedArgs) -> Result<String, CliError> {
         };
     }
     let kind = a.get("kind").unwrap_or("sim");
-    let seed: u64 = a
-        .get_parsed("seed", 42u64)
-        .map_err(|e| CliError(e.to_string()))?;
-    let index: u64 = a
-        .get_parsed("index", 0u64)
-        .map_err(|e| CliError(e.to_string()))?;
+    let seed: u64 = a.get_parsed("seed", 42u64)?;
+    let index: u64 = a.get_parsed("index", 0u64)?;
     let scale = a.get("scale").unwrap_or("scaled");
     let dataset = match (kind, scale) {
         ("sim", "paper") => simulated_dataset(&SimulatedParams::paper(), seed, index),
@@ -1178,7 +643,7 @@ fn cmd_gen(a: &ParsedArgs) -> Result<String, CliError> {
     };
     let text = dataset.to_text();
     if let Some(path) = a.get("output") {
-        std::fs::write(path, &text).map_err(|e| CliError(format!("{path}: {e}")))?;
+        std::fs::write(path, &text).map_err(|e| at(path, e))?;
         Ok(format!(
             "wrote {} ({} taxa, {} loci, {:.1}% missing) to {path}\n",
             dataset.name,
@@ -1195,16 +660,13 @@ fn cmd_sim(a: &ParsedArgs) -> Result<String, CliError> {
     let (_taxa, problem) = load_problem(a)?;
     let config = config_from(a)?;
     let threads = a
-        .get_list("threads")
-        .map_err(|e| CliError(e.to_string()))?
+        .get_list("threads")?
         .unwrap_or_else(|| vec![1, 2, 4, 8, 12, 16]);
-    let max_ticks = match a.get("max-ticks") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| CliError(format!("--max-ticks: bad number '{v}'")))?,
-        ),
-    };
+    let bad = |v: &str| CliError(format!("--max-ticks: bad number '{v}'"));
+    let max_ticks = a
+        .get("max-ticks")
+        .map(|v| v.parse::<u64>().map_err(|_| bad(v)));
+    let max_ticks = max_ticks.transpose()?;
 
     let mut out = String::new();
     writeln!(
@@ -1226,7 +688,7 @@ fn cmd_sim(a: &ParsedArgs) -> Result<String, CliError> {
         sc.stealing = !a.has("no-steal");
         sc.max_ticks = max_ticks;
         sc.trace = a.has("trace");
-        let r = simulate(&problem, &config, &sc).map_err(|e| CliError(e.to_string()))?;
+        let r = simulate(&problem, &config, &sc).map_err(msg)?;
         let (sp, asp) = match &serial {
             None => (1.0, 1.0),
             Some(s) => (r.speedup_vs(s), r.adapted_speedup_vs(s)),
@@ -1256,12 +718,9 @@ fn cmd_sim(a: &ParsedArgs) -> Result<String, CliError> {
 fn cmd_consensus(a: &ParsedArgs) -> Result<String, CliError> {
     let (taxa, problem) = load_problem(a)?;
     let config = config_from(a)?;
-    let min_support: f64 = a
-        .get_parsed("min-support", 0.5f64)
-        .map_err(|e| CliError(e.to_string()))?;
+    let min_support: f64 = a.get_parsed("min-support", 0.5f64)?;
     let mut sink = gentrius_core::SplitSupportSink::new();
-    let r = gentrius_core::run_serial(&problem, &config, &mut sink)
-        .map_err(|e| CliError(e.to_string()))?;
+    let r = gentrius_core::run_serial(&problem, &config, &mut sink).map_err(msg)?;
     let summary = sink.finish();
     let mut out = String::new();
     writeln!(out, "stand trees analysed: {}", summary.num_trees()).unwrap();
@@ -1297,15 +756,22 @@ fn cmd_consensus(a: &ParsedArgs) -> Result<String, CliError> {
 fn cmd_verify(a: &ParsedArgs) -> Result<String, CliError> {
     let (taxa, problem) = load_problem(a)?;
     let config = config_from(a)?;
-    let threads: usize = a
-        .get_parsed("threads", 2usize)
-        .map_err(|e| CliError(e.to_string()))?;
+    // `--threads N` is honored as given (the engine supports a single
+    // worker); it used to be silently bumped to 2.
+    let threads = a.get_parsed("threads", 2usize)?.max(1);
     let mut out = String::new();
     writeln!(out, "mapping: {}", config.mapping).unwrap();
 
-    let mut serial_sink = CollectNewick::with_cap(&taxa, 2_000_000);
-    let serial = gentrius_core::run_serial(&problem, &config, &mut serial_sink)
-        .map_err(|e| CliError(e.to_string()))?;
+    let collect = |driver| {
+        pipeline::run(&RunSpec {
+            taxa: &taxa,
+            problem: &problem,
+            config: config.clone(),
+            driver,
+            output: Output::Collect { cap: 2_000_000 },
+        })
+    };
+    let serial = collect(Driver::Serial)?;
     writeln!(
         out,
         "serial:    trees={} states={} dead_ends={} ({})",
@@ -1316,22 +782,15 @@ fn cmd_verify(a: &ParsedArgs) -> Result<String, CliError> {
     )
     .unwrap();
 
-    // `--threads N` is honored as given (the engine supports a single
-    // worker); it used to be silently bumped to 2.
-    let pcfg = ParallelConfig::with_threads(threads.max(1));
-    let (par, par_sinks) = run_parallel_with_sinks(&problem, &config, &pcfg, |_| {
-        CollectNewick::with_cap(&taxa, 2_000_000)
-    })
-    .map_err(|e| CliError(e.to_string()))?;
+    let par = collect(Driver::Engine(ParallelConfig::with_threads(threads)))?;
     writeln!(
         out,
-        "parallel:  trees={} states={} dead_ends={} ({} threads)",
-        par.stats.stand_trees, par.stats.intermediate_states, par.stats.dead_ends, pcfg.threads
+        "parallel:  trees={} states={} dead_ends={} ({threads} threads)",
+        par.stats.stand_trees, par.stats.intermediate_states, par.stats.dead_ends
     )
     .unwrap();
 
-    let sim = simulate(&problem, &config, &SimConfig::with_threads(16))
-        .map_err(|e| CliError(e.to_string()))?;
+    let sim = simulate(&problem, &config, &SimConfig::with_threads(16)).map_err(msg)?;
     writeln!(
         out,
         "simulated: trees={} states={} dead_ends={} (16 virtual threads)",
@@ -1339,7 +798,7 @@ fn cmd_verify(a: &ParsedArgs) -> Result<String, CliError> {
     )
     .unwrap();
 
-    if !serial.complete() {
+    if serial.stop.is_some() {
         writeln!(
             out,
             "verdict: SKIPPED — a stopping rule fired; counters are only              comparable for complete enumerations (raise the limits)"
@@ -1349,9 +808,7 @@ fn cmd_verify(a: &ParsedArgs) -> Result<String, CliError> {
     }
 
     let counters_ok = serial.stats == par.stats && serial.stats == sim.stats;
-    let serial_set = canonical_stand_set([serial_sink.out]);
-    let par_set = canonical_stand_set(par_sinks.into_iter().map(|s| s.out));
-    let stands_ok = serial_set == par_set;
+    let stands_ok = serial.trees == par.trees;
     writeln!(out, "counters identical: {counters_ok}").unwrap();
     writeln!(
         out,
@@ -1362,7 +819,7 @@ fn cmd_verify(a: &ParsedArgs) -> Result<String, CliError> {
     let mut oracle_ok = true;
     if problem.num_taxa() <= gentrius_core::oracle::MAX_BRUTE_FORCE_TAXA {
         let brute = gentrius_core::oracle::brute_force_stand(&problem, &taxa);
-        oracle_ok = brute == serial_set;
+        oracle_ok = brute == serial.trees;
         writeln!(out, "brute-force ground truth identical: {oracle_ok}").unwrap();
     } else {
         writeln!(
@@ -1417,9 +874,9 @@ fn cmd_score(a: &ParsedArgs) -> Result<String, CliError> {
     else {
         return err("score requires --matrix FILE --partitions FILE --trees FILE");
     };
-    let matrix_text = std::fs::read_to_string(mp).map_err(|e| CliError(format!("{mp}: {e}")))?;
-    let parts_text = std::fs::read_to_string(pp).map_err(|e| CliError(format!("{pp}: {e}")))?;
-    let trees_text = std::fs::read_to_string(tp).map_err(|e| CliError(format!("{tp}: {e}")))?;
+    let matrix_text = std::fs::read_to_string(mp).map_err(|e| at(mp, e))?;
+    let parts_text = std::fs::read_to_string(pp).map_err(|e| at(pp, e))?;
+    let trees_text = std::fs::read_to_string(tp).map_err(|e| at(tp, e))?;
     let mut taxa = TaxonSet::new();
     let matrix = gentrius_msa::Supermatrix::parse_phylip(&matrix_text, &parts_text, &mut taxa)?;
     let mut out = String::new();
@@ -1431,9 +888,7 @@ fn cmd_score(a: &ParsedArgs) -> Result<String, CliError> {
         matrix.partitions().len()
     )
     .unwrap();
-    let branch_len: f64 = a
-        .get_parsed("branch-len", 0.1f64)
-        .map_err(|e| CliError(e.to_string()))?;
+    let branch_len: f64 = a.get_parsed("branch-len", 0.1f64)?;
     let use_lik = a.has("likelihood");
     writeln!(
         out,
@@ -1489,6 +944,20 @@ mod tests {
         run(&owned)
     }
 
+    /// Files in `dir` named `{output}.` plus anything with `seg` in it:
+    /// every segment file the output's runs can leave behind.
+    fn segment_files(dir: &std::path::Path, output: &str) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .filter_map(|e| e.file_name().into_string().ok())
+            .filter(|n| {
+                n.strip_prefix(output)
+                    .is_some_and(|rest| rest.starts_with('.') && rest.contains("seg"))
+            })
+            .collect()
+    }
+
     fn write_tmp(name: &str, content: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("gentrius-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1502,6 +971,117 @@ mod tests {
         assert!(run_strs(&["help"]).unwrap().contains("USAGE"));
         assert!(run_strs(&[]).unwrap().contains("USAGE"));
         assert!(run_strs(&["bogus"]).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_exit_with_the_flag_and_the_subcommand() {
+        let p = write_tmp("flags.nwk", "((A,B),(C,D));\n((C,D),(E,F));\n");
+        let t = p.to_str().unwrap();
+        let cases: &[(&[&str], &str, &str)] = &[
+            (&["stand", "--trees", t, "--thread", "4"], "thread", "stand"),
+            (
+                &["stand", "--trees", t, "--emit-batch", "4"],
+                "emit-batch",
+                "stand",
+            ),
+            (
+                &["stand", "--trees", t, "--incremental"],
+                "incremental",
+                "stand",
+            ),
+            (
+                &["stand", "resume", "x.standckpt", "--thread", "2"],
+                "thread",
+                "stand resume",
+            ),
+            (
+                &["stand", "export", "--input", t, "--ouput", "x"],
+                "ouput",
+                "stand export",
+            ),
+            (
+                &["stand", "cat", "x.stand", "--form", "3"],
+                "form",
+                "stand cat",
+            ),
+            (&["induced", "--species", t, "--pams", t], "pams", "induced"),
+            (&["gen", "--kind", "sim", "--sed", "3"], "sed", "gen"),
+            (&["sim", "--trees", t, "--max-tick", "9"], "max-tick", "sim"),
+            (
+                &["consensus", "--trees", t, "--min-suport", "0.5"],
+                "min-suport",
+                "consensus",
+            ),
+            (
+                &["verify", "--trees", t, "--thread", "2"],
+                "thread",
+                "verify",
+            ),
+            (
+                &["superb", "--trees", t, "--threads", "2"],
+                "threads",
+                "superb",
+            ),
+            (
+                &["score", "--matrix", t, "--likelyhood"],
+                "likelyhood",
+                "score",
+            ),
+        ];
+        for &(args, flag, command) in cases {
+            let e = run_strs(args).expect_err("a misspelled flag must fail");
+            assert!(
+                e.0.starts_with(&format!("unknown flag --{flag} for '{command}'")),
+                "{args:?}: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_usage_flag_is_accepted_by_its_subcommand() {
+        // Usage entries start with "  gentrius NAME"; their continuation
+        // lines are indented further.
+        let mut entries: Vec<(String, Vec<String>)> = Vec::new();
+        for line in USAGE
+            .lines()
+            .skip_while(|l| !l.starts_with("USAGE:"))
+            .skip(1)
+        {
+            if let Some(rest) = line.strip_prefix("  gentrius ") {
+                let mut words = rest.split_whitespace();
+                let mut name = words.next().unwrap().to_string();
+                if name == "stand" {
+                    if let Some(sub @ ("resume" | "export" | "cat")) =
+                        rest.split_whitespace().nth(1)
+                    {
+                        name = format!("stand {sub}");
+                    }
+                }
+                entries.push((name, Vec::new()));
+            } else if !line.starts_with("    ") {
+                break;
+            }
+            let flags = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            let entry = entries.last_mut().unwrap();
+            entry.1.extend(
+                flags
+                    .filter_map(|w| w.strip_prefix("--"))
+                    .map(str::to_string),
+            );
+        }
+        assert_eq!(entries.len(), 12, "{entries:?}");
+        for (command, flags) in &entries {
+            let accepted = accepted_flags(command);
+            for flag in flags {
+                assert!(
+                    accepted
+                        .iter()
+                        .any(|group| group.split_whitespace().any(|f| f == flag)),
+                    "'{command}' rejects --{flag}, which its usage lists"
+                );
+            }
+        }
+        assert!(entries.iter().any(|(c, f)| c == "stand" && f.len() > 15));
     }
 
     #[test]
@@ -1791,12 +1371,10 @@ mod tests {
             "--no-adaptive-split",
             "--stop-poll-stride",
             "8",
-            "--emit-batch",
-            "4",
             "--coarse-flush",
         ])
         .unwrap();
-        // The tuning knobs change scheduling and buffering, never results:
+        // The tuning knobs change scheduling, never results:
         // the printed stand set (every line ending in ';') must match the
         // serial default exactly.
         let trees = |s: &str| {
@@ -1988,12 +1566,8 @@ mod tests {
         .unwrap();
         assert!(out.contains(".stand container"), "{out}");
         // Per-context segments are merged into the final file and deleted.
-        for i in 0..4 {
-            assert!(
-                !dir.join(format!("contpar.stand.seg{i}")).exists(),
-                "segment {i} left behind"
-            );
-        }
+        let leftovers = segment_files(&dir, "contpar.stand");
+        assert!(leftovers.is_empty(), "segments left behind: {leftovers:?}");
         let cat = run_strs(&["stand", "cat", cpath]).unwrap();
         let mut got: Vec<String> = cat.lines().map(str::to_string).collect();
         got.sort();
@@ -2135,10 +1709,11 @@ mod tests {
         ])
         .expect_err("merging over a directory must fail");
         assert!(err.0.contains("segleak.stand"), "{err}");
-        for i in 0..4 {
-            let seg = dir.join(format!("segleak.stand.seg{i}"));
-            assert!(!seg.exists(), "segment {i} leaked after a failed merge");
-        }
+        let leaked = segment_files(&dir, "segleak.stand");
+        assert!(
+            leaked.is_empty(),
+            "segments leaked after a failed merge: {leaked:?}"
+        );
         std::fs::remove_dir_all(&cont).unwrap();
     }
 
@@ -2204,12 +1779,7 @@ mod tests {
         assert!(out.contains("complete enumeration"), "{out}");
         // All sidecars retired on completion.
         assert!(!dir.join("ckdiff-ck.standckpt").exists());
-        let leftovers: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.starts_with("ckdiff-ck.stand.") && n.contains("seg"))
-            .collect();
+        let leftovers = segment_files(&dir, "ckdiff-ck.stand");
         assert!(leftovers.is_empty(), "segment files leaked: {leftovers:?}");
 
         let sort_lines = |s: String| {
@@ -2247,7 +1817,7 @@ mod tests {
         // each resume slice then gets the same eighth, so the resume loop
         // ends after a handful of slices.
         let clean = dir.join("cktime-clean.stand");
-        let started = Instant::now();
+        let started = std::time::Instant::now();
         run_strs(&[
             "stand",
             "--trees",

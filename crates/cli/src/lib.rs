@@ -9,5 +9,6 @@
 
 pub mod args;
 pub mod commands;
+pub mod pipeline;
 
 pub use commands::{run, CliError, USAGE};

@@ -532,3 +532,162 @@ fn resume_rejects_task_branches_the_search_never_takes() {
         );
     }
 }
+
+/// A sidecar may name only its own run's segments, `{out}.g{k}.seg{i}`
+/// with `k` below its generation, each once: the final merge deletes every
+/// segment it reads. Anything else must fail `stand resume` before any
+/// file is touched, and the named file must survive.
+#[test]
+fn resume_refuses_segments_that_are_not_its_runs_own() {
+    let newicks = ["((A,B),(C,D));", "((C,D),(E,F));"];
+    let (checkpoint, _) = root_checkpoint(&newicks, "foreign");
+    let trees = tmp("foreign.nwk");
+    std::fs::write(&trees, newicks.join("\n")).unwrap();
+    // A real container from another run, and a real segment of this one.
+    let unrelated = tmp("unrelated.stand");
+    let own = PathBuf::from(format!("{}.g0.seg1", checkpoint.output));
+    for file in [&unrelated, &own] {
+        run_ok(&[
+            "stand",
+            "--trees",
+            trees.to_str().unwrap(),
+            "--output",
+            file.to_str().unwrap(),
+        ]);
+    }
+    let (unrelated_bytes, own_bytes) = (
+        std::fs::read(&unrelated).unwrap(),
+        std::fs::read(&own).unwrap(),
+    );
+    let future = format!("{}.g1.seg1", checkpoint.output);
+    let cases = [
+        (
+            vec![unrelated.display().to_string()],
+            "not a segment of its run",
+        ),
+        (vec![future], "not a segment of its run"),
+        (
+            vec![own.display().to_string(), own.display().to_string()],
+            "names this segment twice",
+        ),
+    ];
+    let sidecar = tmp("foreign.standckpt");
+    for (segments, msg) in cases {
+        let mut bad = checkpoint.clone();
+        bad.segments = segments;
+        let stderr = resume_fails(&bad, &sidecar);
+        assert!(stderr.contains(msg), "{stderr}");
+        assert!(sidecar.exists(), "a refused sidecar must stay");
+        assert_eq!(std::fs::read(&unrelated).unwrap(), unrelated_bytes);
+        assert_eq!(std::fs::read(&own).unwrap(), own_bytes);
+    }
+    assert!(!Path::new(&checkpoint.output).exists());
+}
+
+/// The final merge is a commit point. A resume whose merge meets a torn
+/// segment must fail naming that segment, and leave the sidecar and every
+/// segment it names in place; putting the segment back and resuming again
+/// must then complete with the clean run's stand.
+#[cfg(unix)]
+#[test]
+fn torn_segment_fails_the_merge_and_a_retry_completes() {
+    use gentrius_standfile::Checkpoint;
+
+    let trees = tmp("torn.nwk");
+    std::fs::write(
+        &trees,
+        "((A,B),(C,D));\n((A,E),(F,G));\n((C,F),(H,I));\n((B,I),(E,J));\n",
+    )
+    .unwrap();
+    let clean = tmp("torn-clean.stand");
+    let started = std::time::Instant::now();
+    run_ok(&[
+        "stand",
+        "--trees",
+        trees.to_str().unwrap(),
+        "--threads",
+        "2",
+        "--output",
+        clean.to_str().unwrap(),
+    ]);
+    // An eighth of a clean run on this host: each slice stops on the
+    // clock mid-run and leaves a sidecar, so the merge comes a few slices
+    // later.
+    let budget = (started.elapsed().as_secs_f64() / 8.0 / 3600.0).to_string();
+    let cont = tmp("torn.stand");
+    let ckpt = tmp("torn.standckpt");
+    run_ok(&[
+        "stand",
+        "--trees",
+        trees.to_str().unwrap(),
+        "--threads",
+        "2",
+        "--output",
+        cont.to_str().unwrap(),
+        "--checkpoint-every",
+        "10",
+        "--max-hours",
+        &budget,
+    ]);
+    let resume = || {
+        gentrius()
+            .args(["stand", "resume", ckpt.to_str().unwrap()])
+            .output()
+            .expect("binary runs")
+    };
+    let named = || Checkpoint::read(&ckpt).expect("sidecar reads").segments;
+    let mut slices = 0;
+    while named().is_empty() {
+        slices += 1;
+        assert!(slices <= 200, "no slice finished a segment");
+        assert!(resume().status.success());
+    }
+    let torn = PathBuf::from(named().last().unwrap());
+    let whole = std::fs::read(&torn).unwrap();
+    std::fs::write(&torn, &whole[..whole.len() - 10]).unwrap();
+
+    let failed = loop {
+        slices += 1;
+        assert!(slices <= 200, "the merge never ran");
+        let out = resume();
+        if !out.status.success() {
+            break String::from_utf8_lossy(&out.stderr).into_owned();
+        }
+        assert!(ckpt.exists(), "the run completed over a torn segment");
+    };
+    assert!(
+        failed.contains(&format!("{}: malformed stand container", torn.display())),
+        "{failed}"
+    );
+    assert!(ckpt.exists(), "a failed merge must keep the sidecar");
+    for seg in named() {
+        assert!(
+            Path::new(&seg).is_file(),
+            "{seg} was deleted by a failed merge"
+        );
+    }
+    assert!(!cont.exists(), "a failed merge left a partial container");
+
+    std::fs::write(&torn, &whole).unwrap();
+    while ckpt.exists() {
+        slices += 1;
+        assert!(slices <= 400, "resume never completed the enumeration");
+        assert!(resume().status.success());
+    }
+    let sort_lines = |s: String| {
+        let mut v: Vec<String> = s.lines().map(str::to_string).collect();
+        v.sort_unstable();
+        v
+    };
+    let want = sort_lines(run_ok(&["stand", "cat", clean.to_str().unwrap()]));
+    let got = sort_lines(run_ok(&["stand", "cat", cont.to_str().unwrap()]));
+    assert_eq!(got.len(), 24385);
+    assert_eq!(got, want, "the retried run diverged from the clean run");
+    let debris: Vec<String> = std::fs::read_dir(cont.parent().unwrap())
+        .unwrap()
+        .flatten()
+        .filter_map(|e| e.file_name().into_string().ok())
+        .filter(|n| n.starts_with("torn.stand.") && n.contains("seg"))
+        .collect();
+    assert!(debris.is_empty(), "segment debris left behind: {debris:?}");
+}

@@ -24,7 +24,7 @@ use crate::simulated::{simulated_dataset, MissingPattern, SimulatedParams};
 use gentrius_core::{
     canonical_stand_set, run_serial, CollectNewick, GentriusConfig, MappingMode, StoppingRules,
 };
-use gentrius_parallel::{run_parallel_with_sinks, ParallelConfig};
+use gentrius_parallel::{run_parallel_epoch, ParallelConfig};
 use phylo::generate::ShapeModel;
 use phylo::ops::restrict;
 use rand::Rng;
@@ -275,15 +275,15 @@ pub fn conformance_check(d: &Dataset, stopping: &StoppingRules, threads: &[usize
             }
         }
         for &t in threads {
-            let (par, sinks) =
-                match run_parallel_with_sinks(&p, &config, &ParallelConfig::with_threads(t), |_| {
-                    CollectNewick::with_cap(&d.taxa, COLLECT_CAP)
-                }) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        return Conformance::Diverged(format!("{mode} threads={t} errored: {e:?}"))
-                    }
-                };
+            let pcfg = ParallelConfig::with_threads(t);
+            let collect = |_| CollectNewick::with_cap(&d.taxa, COLLECT_CAP);
+            let (par, sinks, _) = match run_parallel_epoch(&p, &config, &pcfg, collect, None, false)
+            {
+                Ok(r) => r,
+                Err(e) => {
+                    return Conformance::Diverged(format!("{mode} threads={t} errored: {e:?}"))
+                }
+            };
             if !par.complete() {
                 return Conformance::Diverged(format!("{mode} threads={t}: spurious stop"));
             }

@@ -104,63 +104,8 @@ pub struct WorkerReport {
     pub spans: Vec<TaskSpan>,
 }
 
-/// Aggregate scheduler diagnostics for one engine run: what the two-level
-/// scheduler (per-worker steal deques + global injector) actually did.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EngineReport {
-    /// Tasks taken from another worker's deque.
-    pub steals: u64,
-    /// Steal sweeps that came back empty-handed.
-    pub failed_steals: u64,
-    /// Times a worker parked on the idle condvar.
-    pub parks: u64,
-    /// Tasks split off and pushed onto worker deques.
-    pub splits: u64,
-    /// Tasks completed across all workers (the adaptive controller's
-    /// steal-to-execute denominator).
-    pub executed: u64,
-    /// Initial-split chunks routed through the global injector.
-    pub injected: u64,
-    /// Deque ring-buffer doublings across all workers (the Chase–Lev
-    /// `grow` path; non-zero whenever a deque outgrew its small initial
-    /// buffer — the churn stress profile asserts on this).
-    pub deque_grows: u64,
-    /// Per-worker breakdown, in thread order.
-    pub per_worker: Vec<SchedulerCounts>,
-}
-
-impl EngineReport {
-    /// Builds the aggregate from per-worker counts plus the injector and
-    /// deque-grow tallies.
-    fn from_counts(per_worker: Vec<SchedulerCounts>, injected: u64, deque_grows: u64) -> Self {
-        let mut total = SchedulerCounts::default();
-        for w in &per_worker {
-            total.merge(w);
-        }
-        EngineReport {
-            steals: total.steals,
-            failed_steals: total.failed_steals,
-            parks: total.parks,
-            splits: total.splits,
-            executed: total.executed,
-            injected,
-            deque_grows,
-            per_worker,
-        }
-    }
-
-    /// An all-zero report for runs that never started the pool, sized for
-    /// `threads` workers.
-    fn empty(threads: usize) -> Self {
-        EngineReport {
-            per_worker: vec![SchedulerCounts::default(); threads],
-            ..EngineReport::default()
-        }
-    }
-}
-
 /// Outcome of a parallel run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ParallelRunResult {
     /// Global counters (exact totals of the work performed). Count-based
     /// stopping limits may be overshot by up to one flush batch per
@@ -177,10 +122,14 @@ pub struct ParallelRunResult {
     pub initial_tree: usize,
     /// Counters accumulated by the serial prefix (root → `I_0`).
     pub prefix: RunStats,
-    /// Tasks submitted through worker deques (excludes the initial chunks).
-    pub stolen_tasks: usize,
-    /// Aggregate scheduler diagnostics (steal/park/split activity).
-    pub scheduler: EngineReport,
+    /// Scheduler activity summed over the workers (`workers[i].sched`).
+    /// Its `splits` are the tasks submitted through worker deques.
+    pub scheduler: SchedulerCounts,
+    /// Initial-split chunks routed through the global injector.
+    pub injected: u64,
+    /// Deque ring-buffer doublings across all workers (the Chase–Lev
+    /// `grow` path; the churn stress profile asserts on this).
+    pub deque_grows: u64,
     /// Per-worker reports, in thread order.
     pub workers: Vec<WorkerReport>,
     /// What the run monitor observed (all-default when disabled).
@@ -216,30 +165,16 @@ pub fn run_parallel(
     config: &GentriusConfig,
     pcfg: &ParallelConfig,
 ) -> Result<ParallelRunResult, ProblemError> {
-    let (r, _sinks) = run_parallel_with_sinks(problem, config, pcfg, |_| CountOnly)?;
+    let (r, _sinks, _frontier) =
+        run_parallel_epoch(problem, config, pcfg, |_| CountOnly, None, false)?;
     Ok(r)
 }
 
-/// Runs the parallel engine, giving each execution context its own sink:
-/// index 0 belongs to the serial prefix (main thread), index `1 + t` to
-/// worker `t`. Returned in that order for merging.
-pub fn run_parallel_with_sinks<S, F>(
-    problem: &StandProblem,
-    config: &GentriusConfig,
-    pcfg: &ParallelConfig,
-    make_sink: F,
-) -> Result<(ParallelRunResult, Vec<S>), ProblemError>
-where
-    S: StandSink + Send,
-    F: Fn(usize) -> S,
-{
-    let (r, sinks, _frontier) = run_parallel_epoch(problem, config, pcfg, make_sink, None, false)?;
-    Ok((r, sinks))
-}
-
-/// Runs **one epoch** of the parallel engine — the checkpoint-aware entry.
-///
-/// Identical to [`run_parallel_with_sinks`] plus two capabilities:
+/// Runs **one epoch** of the parallel engine, giving each execution
+/// context its own sink: index 0 belongs to the serial prefix (main
+/// thread), index `1 + t` to worker `t`, returned in that order for
+/// merging. A whole run is one epoch with `resume: None` and
+/// `capture_frontier: false`; checkpointed runs chain epochs with:
 ///
 /// * `resume` — start from a previous epoch's [`ResumeFrontier`] instead
 ///   of the serial prefix + initial split: the descriptors are injected
@@ -254,7 +189,7 @@ where
 ///   drains its in-progress explorer into descriptors and the pool's
 ///   queues are drained after the join. An empty frontier means the
 ///   search space is exhausted. With `capture_frontier: false` early
-///   stops discard the frontier (the pre-checkpoint behaviour).
+///   stops discard the frontier.
 ///
 /// A paused epoch reports `stop: None` but a non-empty frontier; callers
 /// distinguish "complete" from "paused" by the frontier, not the cause.
@@ -292,16 +227,11 @@ where
         sinks.push(prefix_sink);
         return Ok((
             ParallelRunResult {
-                stats: RunStats::new(),
-                stop: None,
                 elapsed: started.elapsed(),
                 threads: pcfg.threads,
                 initial_tree: initial,
-                prefix: RunStats::new(),
-                stolen_tasks: 0,
-                scheduler: EngineReport::empty(pcfg.threads),
                 workers: vec![WorkerReport::default(); pcfg.threads],
-                monitor: MonitorReport::default(),
+                ..ParallelRunResult::default()
             },
             sinks,
             Vec::new(),
@@ -402,19 +332,17 @@ where
                 };
                 let monitor = finish_monitor();
                 sinks.push(prefix_sink);
-                let stats = global.snapshot();
                 return (
                     ParallelRunResult {
-                        stats,
+                        stats: global.snapshot(),
                         stop: global.stop_cause(),
                         elapsed: started.elapsed(),
                         threads: pcfg.threads,
                         initial_tree: initial,
                         prefix: prefix_stats,
-                        stolen_tasks: 0,
-                        scheduler: EngineReport::empty(pcfg.threads),
                         workers: vec![WorkerReport::default(); pcfg.threads],
                         monitor,
+                        ..ParallelRunResult::default()
                     },
                     sinks,
                     frontier,
@@ -494,11 +422,13 @@ where
         let monitor = finish_monitor();
 
         let sched_counts = pool.scheduler_counts();
+        let mut scheduler = SchedulerCounts::default();
         let mut workers = Vec::with_capacity(pcfg.threads);
         let mut frontier = Vec::new();
         sinks.push(prefix_sink);
         for (tid, (mut report, sink, drained)) in results.into_iter().enumerate() {
             report.sched = sched_counts[tid];
+            scheduler.merge(&report.sched);
             workers.push(report);
             sinks.push(sink);
             frontier.extend(drained);
@@ -518,12 +448,9 @@ where
                 threads: pcfg.threads,
                 initial_tree: initial,
                 prefix: prefix_stats,
-                stolen_tasks: pool.total_submitted(),
-                scheduler: EngineReport::from_counts(
-                    sched_counts,
-                    pool.total_injected() as u64,
-                    pool.total_deque_grows(),
-                ),
+                scheduler,
+                injected: pool.total_injected() as u64,
+                deque_grows: pool.total_deque_grows(),
                 workers,
                 monitor,
             },

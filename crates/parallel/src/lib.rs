@@ -35,7 +35,7 @@
 //!   workers parked on a condition variable (the paper's
 //!   `std::condition_variable` construction; the mutex guards nothing but
 //!   the parking) and per-worker steal/park/split statistics surfaced
-//!   through [`engine::EngineReport`];
+//!   through [`pool::SchedulerCounts`] in the [`ParallelRunResult`];
 //! * an **observability layer** ([`obs`]): the run monitor's heartbeat
 //!   ring, a schema-versioned run-metrics JSON export, and a
 //!   Chrome-trace-event export of the per-worker task timeline.
@@ -93,8 +93,8 @@ pub mod task;
 pub use counters::{FlushThresholds, GlobalCounters, LocalCounters};
 pub use deque::{Steal, StealDeque};
 pub use engine::{
-    run_parallel, run_parallel_epoch, run_parallel_with_sinks, EngineReport, ParallelConfig,
-    ParallelRunResult, ResumeFrontier, TaskSpan, WorkerReport,
+    run_parallel, run_parallel_epoch, ParallelConfig, ParallelRunResult, ResumeFrontier, TaskSpan,
+    WorkerReport,
 };
 pub use obs::{Heartbeat, MonitorConfig, MonitorReport};
 pub use pool::{SchedulerCounts, TaskPool, WorkerHandle};

@@ -97,15 +97,15 @@ pub fn render_run_metrics(result: &ParallelRunResult, flush: &FlushThresholds) -
     stats_object(&mut w, &result.stats);
     w.key("prefix");
     stats_object(&mut w, &result.prefix);
-    w.key("stolen_tasks").u64(result.stolen_tasks as u64);
+    w.key("stolen_tasks").u64(result.scheduler.splits);
     w.key("scheduler").begin_object();
     w.key("steals").u64(result.scheduler.steals);
     w.key("failed_steals").u64(result.scheduler.failed_steals);
     w.key("parks").u64(result.scheduler.parks);
     w.key("splits").u64(result.scheduler.splits);
     w.key("executed").u64(result.scheduler.executed);
-    w.key("injected").u64(result.scheduler.injected);
-    w.key("deque_grows").u64(result.scheduler.deque_grows);
+    w.key("injected").u64(result.injected);
+    w.key("deque_grows").u64(result.deque_grows);
     w.end_object();
     w.key("workers").begin_array();
     for worker in &result.workers {

@@ -112,8 +112,6 @@ pub struct TaskPool {
     idlers: AtomicUsize,
     /// Per-deque capacity: the §III-A "split only when there is room" gate.
     capacity: usize,
-    /// Tasks ever pushed through worker deques (excludes injected chunks).
-    submitted: AtomicUsize,
     /// Tasks ever placed in the injector.
     injected: AtomicUsize,
     /// Adaptive-granularity gate: while closed, workers skip publishing
@@ -185,7 +183,6 @@ impl TaskPool {
             cv: Condvar::new(),
             idlers: AtomicUsize::new(0),
             capacity,
-            submitted: AtomicUsize::new(0),
             injected: AtomicUsize::new(0),
             split_gate: AtomicBool::new(true),
             adaptive: false,
@@ -335,17 +332,10 @@ impl TaskPool {
         out
     }
 
-    /// Total tasks ever submitted through worker deques (excludes the
-    /// injected initial chunks).
-    pub fn total_submitted(&self) -> usize {
-        // ordering: Relaxed — diagnostic tally; reported after the run,
-        // when the joins have already ordered every increment.
-        self.submitted.load(Ordering::Relaxed)
-    }
-
     /// Total tasks ever placed in the global injector.
     pub fn total_injected(&self) -> usize {
-        // ordering: Relaxed — same as `total_submitted`.
+        // ordering: Relaxed — diagnostic tally; reported after the run,
+        // when the joins have already ordered every increment.
         self.injected.load(Ordering::Relaxed)
     }
 
@@ -527,8 +517,7 @@ impl WorkerHandle<'_> {
         // drain check (see `preregister_active`).
         pool.inflight.fetch_add(1, Ordering::SeqCst);
         pool.deques[self.wid].push(task);
-        // ordering: Relaxed — both are diagnostic tallies only.
-        pool.submitted.fetch_add(1, Ordering::Relaxed);
+        // ordering: Relaxed — a diagnostic tally only.
         pool.stats[self.wid].splits.fetch_add(1, Ordering::Relaxed);
         pool.wake_one();
         Ok(())

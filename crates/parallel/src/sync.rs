@@ -12,7 +12,7 @@
 //! `shims/loom`).
 //!
 //! Diagnostic state — steal/park statistics, victim-selection RNG cells,
-//! submitted/injected tallies, the deque grow counter — also routes
+//! the injected tally, the deque grow counter — also routes
 //! through the facade. It costs a few extra loom yield points, but it
 //! means *no* atomic in the scheduler is invisible to the model (the
 //! `xlint` sync-facade rule enforces this mechanically), and the grow

@@ -12,8 +12,8 @@ use gentrius_core::stats::RunStats;
 use gentrius_parallel::obs::json::validate;
 use gentrius_parallel::obs::{render_run_metrics, METRICS_VERSION};
 use gentrius_parallel::{
-    EngineReport, FlushThresholds, Heartbeat, MonitorReport, ParallelRunResult, SchedulerCounts,
-    TaskSpan, WorkerReport,
+    FlushThresholds, Heartbeat, MonitorReport, ParallelRunResult, SchedulerCounts, TaskSpan,
+    WorkerReport,
 };
 use std::time::Duration;
 
@@ -46,17 +46,9 @@ fn fixture_result() -> (ParallelRunResult, FlushThresholds) {
         threads: 2,
         initial_tree: 1,
         prefix: stats(0, 4, 0),
-        stolen_tasks: 6,
-        scheduler: EngineReport {
-            steals: 3,
-            failed_steals: 5,
-            parks: 5,
-            splits: 6,
-            executed: 8,
-            injected: 2,
-            deque_grows: 1,
-            per_worker: per_worker.clone(),
-        },
+        scheduler: sched(3, 5, 5, 6, 8),
+        injected: 2,
+        deque_grows: 1,
         workers: vec![
             WorkerReport {
                 tasks_executed: 5,

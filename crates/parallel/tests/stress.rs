@@ -6,7 +6,7 @@
 use gentrius_core::{
     CollectNewick, CountOnly, GentriusConfig, StandProblem, StopCause, StoppingRules,
 };
-use gentrius_parallel::{run_parallel, run_parallel_with_sinks, FlushThresholds, ParallelConfig};
+use gentrius_parallel::{run_parallel, run_parallel_epoch, FlushThresholds, ParallelConfig};
 use phylo::bitset::BitSet;
 use phylo::generate::{random_tree_on_n, ShapeModel};
 use phylo::ops::restrict;
@@ -94,11 +94,13 @@ fn stand_sets_stable_under_thread_count() {
         ..GentriusConfig::default()
     };
     let collect = |threads: usize| -> Option<Vec<String>> {
-        let (r, sinks) = run_parallel_with_sinks(
+        let (r, sinks, _) = run_parallel_epoch(
             &problem,
             &config,
             &ParallelConfig::with_threads(threads),
             |_| CollectNewick::with_cap(&taxa, 200_000),
+            None,
+            false,
         )
         .unwrap();
         r.complete().then(|| {

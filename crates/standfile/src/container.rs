@@ -214,17 +214,21 @@ impl ContainerWriter {
 
     /// Copies every block of `src` into this container verbatim (blocks are
     /// self-contained, so no re-encoding happens). The taxon sets must be
-    /// identical. Used to merge per-worker segments after a parallel run.
-    pub fn append_container(&mut self, src: &mut Container) -> Result<(), StandfileError> {
+    /// identical. `src_err` wraps the errors that come from `src`.
+    fn append_container(
+        &mut self,
+        src: &mut Container,
+        src_err: impl Fn(StandfileError) -> StandfileError,
+    ) -> Result<(), StandfileError> {
         if src.taxa_names() != self.names {
-            return Err(StandfileError::TaxaMismatch(
+            return Err(src_err(StandfileError::TaxaMismatch(
                 "cannot merge containers over different taxon sets".to_string(),
-            ));
+            )));
         }
         // Close the current partial block first so tree order is preserved.
         self.flush_block()?;
         for i in 0..src.block_count() {
-            let raw = src.raw_block(i)?;
+            let raw = src.raw_block(i).map_err(&src_err)?;
             self.out.write_all(&raw.bytes)?;
             self.blocks.push(BlockEntry {
                 offset: self.offset,
@@ -652,23 +656,43 @@ fn read_up_to<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<usize> {
     Ok(got)
 }
 
-/// Merges per-worker segment containers into one container at `dest`, in
-/// segment order, deleting each segment after it is copied. Missing segment
-/// paths are skipped (a worker that never emitted creates no file).
-pub fn merge_segments(
+/// Copies the blocks of `segments`, in order, into a new container at
+/// `dest` and finishes it; the segments stay in place. An error from a
+/// segment is a [`StandfileError::Segment`] naming it. If the copy fails
+/// after `dest` was created, `dest` is removed, so no unfinished container
+/// is left behind.
+pub fn concat_segments(
     dest: &Path,
     taxa: &TaxonSet,
     segments: &[PathBuf],
 ) -> Result<ContainerSummary, StandfileError> {
     let mut writer = ContainerWriter::create(dest, taxa)?;
-    for seg in segments {
-        if !seg.exists() {
-            continue;
-        }
-        let mut src = Container::open(seg)?;
-        writer.append_container(&mut src)?;
-        drop(src);
-        std::fs::remove_file(seg)?;
-    }
-    writer.finish()
+    let copied = segments.iter().try_for_each(|seg| {
+        let in_seg = |e| StandfileError::Segment {
+            path: seg.clone(),
+            source: Box::new(e),
+        };
+        let mut src = Container::open(seg).map_err(in_seg)?;
+        writer.append_container(&mut src, in_seg)
+    });
+    // Best effort: the error already propagating is the one to report.
+    copied
+        .and_then(|()| writer.finish())
+        .inspect_err(|_| drop(std::fs::remove_file(dest)))
+}
+
+/// Merges per-worker segment containers into one container at `dest`, in
+/// segment order ([`concat_segments`]), then deletes the segments. Missing
+/// segment paths are skipped (a worker that never emitted creates no
+/// file). No segment is deleted before the merged container is finished,
+/// and none is left after `Ok`.
+pub fn merge_segments(
+    dest: &Path,
+    taxa: &TaxonSet,
+    segments: &[PathBuf],
+) -> Result<ContainerSummary, StandfileError> {
+    let present: Vec<PathBuf> = segments.iter().filter(|s| s.exists()).cloned().collect();
+    let summary = concat_segments(dest, taxa, &present)?;
+    present.iter().try_for_each(std::fs::remove_file)?;
+    Ok(summary)
 }

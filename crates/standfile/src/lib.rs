@@ -30,12 +30,14 @@ mod varint;
 
 pub use ckpt::{Checkpoint, CkptTask};
 pub use container::{
-    merge_segments, Container, ContainerSummary, ContainerWriter, DEFAULT_BLOCK_CAPACITY,
+    concat_segments, merge_segments, Container, ContainerSummary, ContainerWriter,
+    DEFAULT_BLOCK_CAPACITY,
 };
 pub use sink::ContainerSink;
 
 use phylo::phylo2vec::P2vError;
 use std::fmt;
+use std::path::PathBuf;
 
 /// Errors from writing, reading, or merging `.stand` containers.
 #[derive(Debug)]
@@ -61,6 +63,13 @@ pub enum StandfileError {
         /// The number of trees stored.
         len: u64,
     },
+    /// A merge failed on one of its segment containers.
+    Segment {
+        /// The segment file.
+        path: PathBuf,
+        /// What was wrong with it.
+        source: Box<StandfileError>,
+    },
 }
 
 impl fmt::Display for StandfileError {
@@ -78,6 +87,7 @@ impl fmt::Display for StandfileError {
                     "tree index {index} out of bounds (container holds {len})"
                 )
             }
+            StandfileError::Segment { path, source } => write!(f, "{}: {source}", path.display()),
         }
     }
 }
@@ -87,6 +97,7 @@ impl std::error::Error for StandfileError {
         match self {
             StandfileError::Io(e) => Some(e),
             StandfileError::Encode(e) => Some(e),
+            StandfileError::Segment { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }

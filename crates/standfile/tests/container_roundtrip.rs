@@ -160,11 +160,53 @@ fn merge_rejects_mismatched_taxa() {
     let dest = tmp("mismatch.stand");
     let err = merge_segments(&dest, &taxa_b, std::slice::from_ref(&seg));
     assert!(
-        matches!(err, Err(StandfileError::TaxaMismatch(_))),
+        matches!(&err, Err(StandfileError::Segment { path, source })
+            if *path == seg && matches!(**source, StandfileError::TaxaMismatch(_))),
         "got {err:?}"
     );
     std::fs::remove_file(&seg).ok();
     std::fs::remove_file(&dest).ok();
+}
+
+/// A merge is a commit: it deletes no segment before the merged container
+/// is finished. A torn segment after a good one fails the merge, names the
+/// torn file, and leaves both segments in place and no partial output.
+#[test]
+fn merge_with_a_torn_segment_fails_and_deletes_nothing() {
+    let (taxa, trees, _) = random_trees(10, 40, 3);
+    let segs: Vec<PathBuf> = (0..2).map(|i| tmp(&format!("torn.seg{i}"))).collect();
+    for (seg, chunk) in segs.iter().zip(trees.chunks(20)) {
+        let mut sink = ContainerSink::create(seg, &taxa);
+        for t in chunk {
+            sink.stand_tree(t);
+        }
+        sink.finish().expect("segment finish");
+    }
+    let torn = std::fs::read(&segs[1]).unwrap();
+    std::fs::write(&segs[1], &torn[..torn.len() - 10]).unwrap();
+
+    let dest = tmp("torn.stand");
+    let err = merge_segments(&dest, &taxa, &segs).expect_err("a torn segment must fail");
+    assert!(
+        matches!(&err, StandfileError::Segment { path, .. } if *path == segs[1]),
+        "got {err:?}"
+    );
+    assert!(
+        err.to_string()
+            .starts_with(&format!("{}: malformed stand container", segs[1].display())),
+        "{err}"
+    );
+    for seg in &segs {
+        assert!(
+            seg.exists(),
+            "{} was deleted by a failed merge",
+            seg.display()
+        );
+    }
+    assert!(!dest.exists(), "a failed merge left a partial container");
+    for seg in &segs {
+        std::fs::remove_file(seg).ok();
+    }
 }
 
 #[test]

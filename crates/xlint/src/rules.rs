@@ -97,7 +97,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "no-stray-io",
         desc: "library crates must not println!/eprintln! (results go through \
-               sink / EngineReport; binaries and the bench harness may print)",
+               sinks and run reports; binaries and the bench harness may print)",
         scope: &[
             "src",
             "crates/phylo/src",

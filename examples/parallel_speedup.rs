@@ -44,7 +44,7 @@ fn main() {
         let sp = t1.map(|t: f64| t / secs).unwrap_or(1.0);
         println!(
             "{:>8} {:>10.3} {:>12} {:>9.2} {:>8}",
-            threads, secs, r.stats.stand_trees, sp, r.stolen_tasks
+            threads, secs, r.stats.stand_trees, sp, r.scheduler.splits
         );
         if t1.is_none() {
             t1 = Some(secs);

@@ -18,15 +18,16 @@ fi
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/gentrius-kill-smoke.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 
-# A blow-up instance: ~480k stand trees, a couple of seconds of release
-# work — plenty of room for a 100 ms checkpoint cadence to fire several
-# times before the SIGKILL lands.
+# A blow-up instance: ~900k stand trees (under the default 1M cap), about
+# a second of release work on a 2-vCPU host — room for a 100 ms
+# checkpoint cadence to fire several times before the SIGKILL lands.
 cat > "$WORK/trees.nwk" <<'EOF'
 ((A,B),(C,D));
 ((A,E),(F,G));
 ((C,F),(H,I));
 ((B,H),(J,K));
 ((D,G),(I,K));
+((A,J),(E,L));
 EOF
 
 echo "== clean reference run =="
@@ -36,7 +37,7 @@ echo "== checkpointed run, SIGKILL mid-flight =="
 "$BIN" stand --trees "$WORK/trees.nwk" --threads 2 \
   --output "$WORK/kill.stand" --checkpoint-every 0.1 &
 PID=$!
-sleep 0.6
+sleep 0.4
 if kill -9 "$PID" 2>/dev/null; then
   echo "sent SIGKILL to $PID"
 else
@@ -47,6 +48,30 @@ wait "$PID" || true
 
 CKPT="$WORK/kill.standckpt"
 if [[ -f "$CKPT" ]]; then
+  # The final merge is a commit point: a torn segment must fail it without
+  # costing any segment the sidecar names, so a retry loses nothing. With
+  # --threads 2 a segment's context index is one digit; the byte after a
+  # name in the sidecar is a length prefix and may read as a digit too.
+  mapfile -t SEGS < <(grep -aoE 'kill\.stand\.g[0-9]+\.seg[0-9]' "$CKPT")
+  if (( ${#SEGS[@]} > 0 )); then
+    echo "== torn segment: resume must fail and keep all ${#SEGS[@]} segments =="
+    TORN="$WORK/${SEGS[-1]}"
+    cp "$TORN" "$WORK/torn.bak"
+    truncate -s -10 "$TORN"
+    rc=0
+    "$BIN" stand resume "$CKPT" --threads 2 || rc=$?
+    if (( rc != 1 )); then
+      echo "FAIL: resume over a torn segment exited $rc, not 1" >&2
+      exit 1
+    fi
+    for seg in "${SEGS[@]}"; do
+      if [[ ! -f "$WORK/$seg" ]]; then
+        echo "FAIL: the failed merge deleted $seg" >&2
+        exit 1
+      fi
+    done
+    mv "$WORK/torn.bak" "$TORN"
+  fi
   echo "== resuming from $CKPT =="
   slices=0
   while [[ -f "$CKPT" ]]; do

@@ -6,25 +6,21 @@
 //! test: any such interruption pattern — across both mapping modes
 //! and 1/2/4 threads — yields the *exact* clean-run counters and the
 //! byte-identical canonical stand set. Every inter-epoch frontier is
-//! additionally round-tripped through the `.standckpt` wire format
-//! (encode → decode → `StateSnapshot::from_parts`), so the harness also
-//! proves the serialized descriptors are faithful, not just the
-//! in-memory ones.
+//! additionally captured into a `.standckpt` image and restored from its
+//! wire bytes through the CLI's run pipeline (`RunSpec::checkpoint`, then
+//! `pipeline::restore`, which re-validates every task), so the harness
+//! also proves the sidecars `stand resume` reads are faithful, not just
+//! the in-memory descriptors.
 
-use gentrius_core::state::StateSnapshot;
+use gentrius_cli::pipeline::{self, Driver, Frontier, Output, Restored, RunSpec};
 use gentrius_core::{
     canonical_stand_set, CollectNewick, GentriusConfig, InitialTreeRule, MappingMode, RunStats,
     StandProblem, StopCause, StoppingRules, TaxonOrderRule,
 };
-use gentrius_parallel::{
-    run_parallel_epoch, run_parallel_with_sinks, MonitorConfig, ParallelConfig, ResumeFrontier,
-    Task,
-};
-use gentrius_standfile::ckpt::problem_hash;
-use gentrius_standfile::{Checkpoint, CkptTask};
-use phylo::newick::{parse_forest, to_newick};
-use phylo::taxa::{TaxonId, TaxonSet};
-use phylo::tree::{EdgeId, Tree};
+use gentrius_parallel::{run_parallel_epoch, MonitorConfig, ParallelConfig, ResumeFrontier};
+use gentrius_standfile::Checkpoint;
+use phylo::newick::parse_forest;
+use phylo::taxa::TaxonSet;
 use std::time::Duration;
 
 const COLLECT_CAP: usize = 200_000;
@@ -64,9 +60,14 @@ fn clean_run(
     config: &GentriusConfig,
     threads: usize,
 ) -> (RunStats, Vec<String>) {
-    let (r, sinks) = run_parallel_with_sinks(problem, config, &pcfg(threads, None), |_| {
-        CollectNewick::with_cap(taxa, COLLECT_CAP)
-    })
+    let (r, sinks, _) = run_parallel_epoch(
+        problem,
+        config,
+        &pcfg(threads, None),
+        |_| CollectNewick::with_cap(taxa, COLLECT_CAP),
+        None,
+        false,
+    )
     .unwrap();
     assert_eq!(r.stop, None, "reference run must complete");
     (
@@ -75,72 +76,24 @@ fn clean_run(
     )
 }
 
-/// Round-trips an inter-epoch frontier through the `.standckpt` wire
-/// format and rebuilds the tasks from the decoded bytes — the same path
-/// `stand resume` takes across a process boundary.
-fn wire_roundtrip(
-    taxa: &TaxonSet,
-    problem: &StandProblem,
-    config: &GentriusConfig,
-    stats: RunStats,
-    generation: u64,
-    tasks: &[Task],
-) -> (RunStats, Vec<Task>) {
-    let taxa_names: Vec<String> = taxa.iter().map(|(_, n)| n.to_string()).collect();
-    let constraints: Vec<String> = problem
-        .constraints()
-        .iter()
-        .map(|t| to_newick(t, taxa))
-        .collect();
-    let ck = Checkpoint {
-        problem_hash: problem_hash(&taxa_names, &constraints),
-        mapping: config.mapping,
-        order_code: tasks.first().map(|t| t.snapshot.order_code()).unwrap_or(0),
-        threads: 4,
-        initial_tree: 0,
-        stopping: config.stopping.clone(),
-        stats,
-        generation,
-        output: "differential.stand".into(),
-        taxa: taxa_names,
-        constraints,
-        segments: Vec::new(),
-        tasks: tasks
-            .iter()
-            .map(|t| CkptTask {
-                taxon: t.taxon.0,
-                branches: t.branches.iter().map(|e| e.0).collect(),
-                depth: t.depth as u64,
-                remaining: t.snapshot.remaining().iter().map(|x| x.0).collect(),
-                tree: t.snapshot.agile().dump_arena(),
-            })
-            .collect(),
-    };
+/// Captures an inter-epoch frontier into a checkpoint image, round-trips
+/// it through the `.standckpt` wire format and restores it — the path a
+/// sidecar takes from one process to `stand resume` in the next. The next
+/// epoch runs on the restored problem, as a resume does: its constraint
+/// trees are re-parsed, so their arenas need not match the original's.
+fn wire_roundtrip(spec: &RunSpec<'_>, frontier: &Frontier) -> Restored {
+    let ck = spec.checkpoint(0, frontier);
     let decoded = Checkpoint::decode(&ck.encode()).expect("wire round-trip");
     assert_eq!(decoded, ck, "decode(encode(ck)) must be identity");
-    let restored: Vec<Task> = decoded
-        .tasks
-        .iter()
-        .map(|t| {
-            let tree = Tree::from_arena_dump(&t.tree).expect("arena dump");
-            let remaining: Vec<TaxonId> = t.remaining.iter().map(|&x| TaxonId(x)).collect();
-            let snap = StateSnapshot::from_parts(
-                problem,
-                tree,
-                remaining,
-                decoded.order_code,
-                decoded.mapping,
-            )
-            .expect("snapshot from parts");
-            Task::new(
-                snap,
-                TaxonId(t.taxon),
-                t.branches.iter().map(|&x| EdgeId(x)).collect(),
-                t.depth as usize,
-            )
-        })
-        .collect();
-    (decoded.stats, restored)
+    let restored = pipeline::restore(&decoded).expect("a captured frontier restores");
+    assert_eq!(
+        format!("{:?}", restored.config),
+        format!("{:?}", spec.config),
+        "the checkpoint must carry the run's config"
+    );
+    assert_eq!(restored.frontier.stats, frontier.stats);
+    assert_eq!(restored.frontier.generation, frontier.generation);
+    restored
 }
 
 /// Runs the enumeration as a sequence of paused epochs, pushing every
@@ -151,16 +104,29 @@ fn interrupted_run(
     config: &GentriusConfig,
     threads: usize,
 ) -> (RunStats, Vec<String>, u64) {
+    let every = Some(Duration::from_millis(1));
+    let spec = RunSpec {
+        taxa,
+        problem,
+        config: config.clone(),
+        driver: Driver::Engine(pcfg(threads, every)),
+        output: Output::Container {
+            path: "differential.stand".into(),
+            checkpoint_every: every,
+        },
+    };
     let mut outs: Vec<Vec<String>> = Vec::new();
-    let mut frontier: Option<Vec<Task>> = None;
-    let mut base = RunStats::new();
+    let mut resumed: Option<Restored> = None;
     let mut epochs = 0u64;
     loop {
-        let resume = frontier.take().map(|tasks| ResumeFrontier { tasks, base });
+        let resume = resumed.as_mut().map(|r| ResumeFrontier {
+            tasks: std::mem::take(&mut r.frontier.tasks),
+            base: r.frontier.stats,
+        });
         let (r, sinks, captured) = run_parallel_epoch(
-            problem,
+            resumed.as_ref().map_or(problem, |r| &r.problem),
             config,
-            &pcfg(threads, Some(Duration::from_millis(1))),
+            &pcfg(threads, every),
             |_| CollectNewick::with_cap(taxa, COLLECT_CAP),
             resume,
             true,
@@ -179,9 +145,13 @@ fn interrupted_run(
         if captured.is_empty() {
             return (r.stats, canonical_stand_set(outs), epochs);
         }
-        let (stats, restored) = wire_roundtrip(taxa, problem, config, r.stats, epochs, &captured);
-        base = stats;
-        frontier = Some(restored);
+        let captured = Frontier {
+            tasks: captured,
+            stats: r.stats,
+            generation: epochs,
+            segments: Vec::new(),
+        };
+        resumed = Some(wire_roundtrip(&spec, &captured));
     }
 }
 

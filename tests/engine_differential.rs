@@ -19,7 +19,7 @@ use gentrius_datagen::{
     empirical_dataset, simulated_dataset, Dataset, EmpiricalParams, MissingPattern, SimulatedParams,
 };
 use gentrius_parallel::{
-    run_parallel, run_parallel_with_sinks, FlushThresholds, MonitorConfig, ParallelConfig,
+    run_parallel, run_parallel_epoch, FlushThresholds, MonitorConfig, ParallelConfig,
     ParallelRunResult,
 };
 use phylo::generate::ShapeModel;
@@ -127,11 +127,13 @@ fn serial_and_parallel_agree_across_the_sweep() {
         assert_dead_end_invariant(&serial.stats, &format!("{} serial", d.name));
         let serial_set = canonical_stand_set([serial_sink.out]);
         for threads in THREAD_COUNTS {
-            let (par, sinks) = run_parallel_with_sinks(
+            let (par, sinks, _) = run_parallel_epoch(
                 &p,
                 &config,
                 &ParallelConfig::with_threads(threads),
                 |_| CollectNewick::with_cap(&d.taxa, COLLECT_CAP),
+                None,
+                false,
             )
             .expect("parallel");
             assert!(
@@ -222,11 +224,13 @@ fn mapping_mode_conformance_matrix() {
                 );
             }
             for threads in [2usize, 4, 8] {
-                let (par, sinks) = run_parallel_with_sinks(
+                let (par, sinks, _) = run_parallel_epoch(
                     &p,
                     &config,
                     &ParallelConfig::with_threads(threads),
                     |_| CollectNewick::with_cap(&d.taxa, COLLECT_CAP),
+                    None,
+                    false,
                 )
                 .expect("parallel");
                 assert!(
@@ -302,9 +306,14 @@ fn deque_churn_profile_stays_exact_and_exercises_grow() {
                 heartbeat_capacity: 4096,
                 checkpoint_every: None,
             });
-            let (par, sinks) = run_parallel_with_sinks(&p, &config, &pcfg, |_| {
-                CollectNewick::with_cap(&d.taxa, COLLECT_CAP)
-            })
+            let (par, sinks, _) = run_parallel_epoch(
+                &p,
+                &config,
+                &pcfg,
+                |_| CollectNewick::with_cap(&d.taxa, COLLECT_CAP),
+                None,
+                false,
+            )
             .expect("parallel");
             assert!(
                 par.complete(),
@@ -323,7 +332,7 @@ fn deque_churn_profile_stays_exact_and_exercises_grow() {
                 "{} threads={threads}: stand sets diverged under churn",
                 d.name
             );
-            total_grows += par.scheduler.deque_grows;
+            total_grows += par.deque_grows;
             total_steals += par.scheduler.steals;
         }
         verified += 1;
@@ -384,9 +393,14 @@ fn steal_heavy_snapshot_handoff_stays_exact_across_modes() {
                 pcfg.queue_capacity = Some(128);
                 pcfg.steal_seed = i ^ (threads as u64) << 8;
                 pcfg.stop_poll_stride = 1;
-                let (par, sinks) = run_parallel_with_sinks(&p, &config, &pcfg, |_| {
-                    CollectNewick::with_cap(&d.taxa, COLLECT_CAP)
-                })
+                let (par, sinks, _) = run_parallel_epoch(
+                    &p,
+                    &config,
+                    &pcfg,
+                    |_| CollectNewick::with_cap(&d.taxa, COLLECT_CAP),
+                    None,
+                    false,
+                )
                 .expect("parallel");
                 assert!(
                     par.complete(),
@@ -479,11 +493,13 @@ fn adversarial_zoo_families_stay_exact_across_modes_and_threads() {
                 );
             }
             for threads in [2usize, 4] {
-                let (par, sinks) = run_parallel_with_sinks(
+                let (par, sinks, _) = run_parallel_epoch(
                     &p,
                     &config,
                     &ParallelConfig::with_threads(threads),
                     |_| CollectNewick::with_cap(&d.taxa, COLLECT_CAP),
+                    None,
+                    false,
                 )
                 .expect("parallel");
                 assert!(

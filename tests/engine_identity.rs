@@ -6,7 +6,7 @@
 
 use gentrius_core::{CollectNewick, GentriusConfig, StoppingRules};
 use gentrius_datagen::{empirical_dataset, simulated_dataset, EmpiricalParams, SimulatedParams};
-use gentrius_parallel::{run_parallel, run_parallel_with_sinks, ParallelConfig};
+use gentrius_parallel::{run_parallel, run_parallel_epoch, ParallelConfig};
 use gentrius_sim::{simulate, SimConfig};
 
 fn small_sweep() -> Vec<gentrius_datagen::Dataset> {
@@ -70,11 +70,15 @@ fn stand_sets_identical_serial_vs_parallel() {
         if !serial.complete() {
             continue;
         }
-        let (par, sinks) =
-            run_parallel_with_sinks(&p, &config, &ParallelConfig::with_threads(3), |_| {
-                CollectNewick::with_cap(&d.taxa, 300_000)
-            })
-            .expect("parallel");
+        let (par, sinks, _) = run_parallel_epoch(
+            &p,
+            &config,
+            &ParallelConfig::with_threads(3),
+            |_| CollectNewick::with_cap(&d.taxa, 300_000),
+            None,
+            false,
+        )
+        .expect("parallel");
         assert!(par.complete());
         let mut serial_set = serial_sink.out;
         serial_set.sort();
