@@ -1,7 +1,8 @@
-//! Subcommand implementations. Everything returns its output as a string
-//! (plus optional file side effects) so the logic is directly testable.
-//! Stand runs go through [`crate::pipeline`]; this module parses their flags
-//! and formats their reports.
+//! Subcommand implementations. Every command but `stand cat` returns its
+//! output as a string (plus optional file side effects) so the logic is
+//! directly testable; `stand cat` streams its trees to the writer
+//! [`run_to`] is given. Stand runs go through [`crate::pipeline`]; this
+//! module parses their flags and formats their reports.
 
 use crate::args::{ArgError, ParsedArgs};
 use crate::pipeline::{self, Driver, Output, RunReport, RunSpec};
@@ -16,11 +17,11 @@ use gentrius_parallel::obs::{write_chrome_trace, write_run_metrics, METRICS_VERS
 use gentrius_parallel::{FlushThresholds, ParallelConfig};
 use gentrius_sim::{simulate, SimConfig};
 use gentrius_standfile::{Checkpoint, Container, ContainerSink, ContainerSummary, StandfileError};
-use phylo::newick::{parse_forest, to_newick};
+use phylo::newick::{parse_forest, parse_newick, to_newick};
 use phylo::pam::Pam;
 use phylo::taxa::TaxonSet;
 use std::fmt::Write as _;
-use std::io::Write as _;
+use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
 
@@ -154,17 +155,31 @@ fn accepted_flags(command: &str) -> &'static [&'static str] {
     }
 }
 
-/// Dispatches a full command line (without the program name).
+/// Dispatches a full command line (without the program name) and returns
+/// everything it prints.
 pub fn run(args: &[String]) -> Result<String, CliError> {
+    let mut out = Vec::new();
+    run_to(args, &mut out)?;
+    String::from_utf8(out).map_err(|_| CliError("output is not UTF-8".to_string()))
+}
+
+/// Dispatches a full command line (without the program name), writing its
+/// output to `out`: `stand cat` as it decodes, every other command once it
+/// is done. On an error, what `stand cat` wrote before it stays written.
+pub fn run_to(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let parsed = ParsedArgs::parse(args, BOOL_FLAGS);
     if parsed.has("help") {
-        return Ok(USAGE.to_string());
+        return write_out(out, USAGE);
     }
     let word = |i: usize| parsed.positional.get(i).map(String::as_str);
     let (name, command): (&str, fn(&ParsedArgs) -> _) = match word(0) {
         Some("stand") => match word(1) {
             Some("export") => ("stand export", cmd_stand_export),
-            Some("cat") => ("stand cat", cmd_stand_cat),
+            // The one streaming command.
+            Some("cat") => {
+                parsed.check("stand cat", accepted_flags("stand cat"))?;
+                return cmd_stand_cat(&parsed, out);
+            }
             Some("resume") => ("stand resume", cmd_stand_resume),
             _ => ("stand", cmd_stand),
         },
@@ -175,11 +190,16 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         Some("verify") => ("verify", cmd_verify),
         Some("superb") => ("superb", cmd_superb),
         Some("score") => ("score", cmd_score),
-        Some("help") | None => return Ok(USAGE.to_string()),
+        Some("help") | None => return write_out(out, USAGE),
         Some(other) => return err(format!("unknown subcommand '{other}'\n\n{USAGE}")),
     };
     parsed.check(name, accepted_flags(name))?;
-    command(&parsed)
+    write_out(out, &command(&parsed)?)
+}
+
+/// Writes a command's text to the output stream.
+fn write_out(out: &mut dyn Write, text: &str) -> Result<(), CliError> {
+    out.write_all(text.as_bytes()).map_err(|e| at("stdout", e))
 }
 
 /// Loads the problem (and taxa) from `--trees`, `--dataset`, or
@@ -546,13 +566,33 @@ fn cmd_stand_export(a: &ParsedArgs) -> Result<String, CliError> {
             c.len()
         ))
     } else {
-        let text = std::fs::read_to_string(input).map_err(|e| at(input, e))?;
-        let (taxa, trees) = parse_forest(text.lines()).map_err(msg)?;
-        let mut sink = ContainerSink::create(Path::new(output), &taxa);
-        for t in &trees {
-            use gentrius_core::StandSink as _;
-            sink.stand_tree(t);
+        use gentrius_core::StandSink as _;
+        use std::io::BufRead as _;
+        // One line at a time: the first tree fixes the taxon set (interned
+        // in its label order) and creates the container; every later tree
+        // is parsed against that set and packed before the next is read.
+        let file = std::fs::File::open(input).map_err(|e| at(input, e))?;
+        let mut lines = std::io::BufReader::new(file);
+        let mut line = String::new();
+        let mut packing: Option<(TaxonSet, ContainerSink)> = None;
+        while lines.read_line(&mut line).map_err(|e| at(input, e))? > 0 {
+            let nwk = line.trim();
+            match &mut packing {
+                _ if nwk.is_empty() => {}
+                Some((taxa, sink)) => sink.stand_tree(&parse_newick(nwk, taxa).map_err(msg)?),
+                None => {
+                    let (taxa, trees) = parse_forest([nwk]).map_err(msg)?;
+                    let mut sink = ContainerSink::create(Path::new(output), &taxa);
+                    trees.iter().for_each(|t| sink.stand_tree(t));
+                    packing = Some((taxa, sink));
+                }
+            }
+            line.clear();
         }
+        let sink = match packing {
+            Some((_, sink)) => sink,
+            None => ContainerSink::create(Path::new(output), &TaxonSet::new()),
+        };
         let s = sink.finish().map_err(|e| at(output, e))?;
         Ok(format!(
             "packed {} trees from {input} into {output} ({} blocks, .stand container)\n",
@@ -562,8 +602,9 @@ fn cmd_stand_export(a: &ParsedArgs) -> Result<String, CliError> {
 }
 
 /// Pages trees out of a `.stand` container by index range without loading
-/// the whole stand (one decoded block in memory at a time).
-fn cmd_stand_cat(a: &ParsedArgs) -> Result<String, CliError> {
+/// the whole stand (one decoded block in memory at a time), writing each
+/// tree to `out` as soon as it is decoded. A failed write stops the decode.
+fn cmd_stand_cat(a: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let Some(path) = a.positional.get(2).map(String::as_str).or(a.get("input")) else {
         return err("stand cat requires a container path: gentrius stand cat FILE.stand [--from N] [--count M]");
     };
@@ -579,14 +620,20 @@ fn cmd_stand_cat(a: &ParsedArgs) -> Result<String, CliError> {
             "{path}: --from {from} is out of range (container holds {len} trees)"
         ));
     }
-    let mut out = String::new();
+    // A failed write is the output's error, not the container's.
+    let mut write_failed = false;
     c.for_each_newick(from, from.saturating_add(count), |_, nwk| {
-        out.push_str(nwk);
-        out.push('\n');
-        Ok(())
+        out.write_all(nwk.as_bytes())
+            .and_then(|()| out.write_all(b"\n"))
+            .map_err(|e| {
+                write_failed = true;
+                StandfileError::Io(e)
+            })
     })
-    .map_err(|e| at(path, e))?;
-    Ok(out)
+    .map_err(|e| match e {
+        StandfileError::Io(e) if write_failed => at("stdout", e),
+        e => at(path, e),
+    })
 }
 
 fn cmd_induced(a: &ParsedArgs) -> Result<String, CliError> {

@@ -11,4 +11,4 @@ pub mod args;
 pub mod commands;
 pub mod pipeline;
 
-pub use commands::{run, CliError, USAGE};
+pub use commands::{run, run_to, CliError, USAGE};

@@ -265,6 +265,232 @@ fn stand_cat_piped_into_head_exits_zero() {
     assert!(stdout.trim_end().ends_with(';'), "{stdout}");
 }
 
+/// The committed fixtures' directory.
+fn fixtures() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// `bash -c SCRIPT`, for pipes and memory caps.
+#[cfg(unix)]
+fn bash(script: &str) -> std::process::Output {
+    Command::new("bash")
+        .arg("-c")
+        .arg(script)
+        .output()
+        .expect("bash runs")
+}
+
+/// Pins `stand cat` on the fixture byte for byte: the whole container, a
+/// page that crosses the first block boundary (trees 1020..1030), and the
+/// last tree. The digests were taken from the recursive tree-building
+/// writer the streaming one replaced.
+#[test]
+fn stand_cat_output_is_pinned_on_the_fixture() {
+    let fixture = fixtures().join("blowup-3000.stand");
+    let cases: [(&[&str], usize, usize, u64); 3] = [
+        (&[], 3000, 639_000, 0xefcd_85ce_6a15_f6df),
+        (
+            &["--from", "1020", "--count", "10"],
+            10,
+            2130,
+            0x0550_ce7e_901e_1185,
+        ),
+        (&["--from", "2999"], 1, 213, 0x2c04_d4b2_af59_21b5),
+    ];
+    for (page, lines, bytes, digest) in cases {
+        let mut args = vec!["stand", "cat", fixture.to_str().unwrap()];
+        args.extend_from_slice(page);
+        let out = run_ok(&args);
+        assert_eq!(
+            (out.lines().count(), out.len(), fnv1a(out.as_bytes())),
+            (lines, bytes, digest),
+            "stand cat {page:?}"
+        );
+    }
+}
+
+/// A valid container holding one 50,000-taxon caterpillar used to abort
+/// `stand cat` with a stack overflow (the tree renderer recursed once per
+/// level); the writer walks an explicit stack.
+#[test]
+fn stand_cat_prints_a_deep_caterpillar() {
+    use gentrius_standfile::ContainerWriter;
+
+    let n = 50_000usize;
+    let taxa = phylo::taxa::TaxonSet::with_synthetic(n);
+    let path = tmp("caterpillar.stand");
+    // Every taxon inserted on the edge above T1.
+    let code: Vec<u32> = (2..n as u32)
+        .map(|i| if i == 2 { 0 } else { 2 * i - 5 })
+        .collect();
+    let mut w = ContainerWriter::create(&path, &taxa).unwrap();
+    w.push_code(&code).unwrap();
+    w.finish().unwrap();
+
+    let out = run_ok(&["stand", "cat", path.to_str().unwrap()]);
+    let mut want = format!("(T0,{}T1,T{})", "(".repeat(n - 3), n - 1);
+    for i in (2..n - 1).rev() {
+        want.push_str(&format!(",T{i})"));
+    }
+    want.truncate(want.len() - 1);
+    want.push_str(");\n");
+    assert!(
+        out == want,
+        "caterpillar differs ({} vs {} bytes)",
+        out.len(),
+        want.len()
+    );
+}
+
+/// `stand cat` streams: 200,000 trees print under a 32 MB address-space
+/// cap. Building the whole output first needs about 43 MB.
+#[cfg(unix)]
+#[test]
+fn stand_cat_streams_under_a_memory_cap() {
+    let dataset = fixtures().join("blowup-3000.dataset");
+    let cont = tmp("cap-200k.stand");
+    let msg = run_ok(&[
+        "stand",
+        "--dataset",
+        dataset.to_str().unwrap(),
+        "--max-trees",
+        "200000",
+        "--output",
+        cont.to_str().unwrap(),
+    ]);
+    assert!(msg.contains("wrote 200000 trees"), "{msg}");
+    let out = bash(&format!(
+        "ulimit -v 32768; exec {} stand cat {}",
+        env!("CARGO_BIN_EXE_gentrius"),
+        cont.display()
+    ));
+    assert!(
+        out.status.success(),
+        "{:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(out.stdout.iter().filter(|&&b| b == b'\n').count(), 200_000);
+    assert!(out.stdout.ends_with(b");\n"));
+}
+
+/// A malformed block in the middle of a container: the trees before it
+/// print, then the read fails with the block's offset; piped into `head
+/// -1`, the closed pipe stops the decode before the bad block is reached
+/// and the run exits 0.
+#[cfg(unix)]
+#[test]
+fn stand_cat_prints_up_to_a_bad_block_and_stops_at_a_closed_pipe() {
+    let fixture = fixtures().join("blowup-3000.stand");
+    let mut bytes = std::fs::read(&fixture).unwrap();
+    // Block 2 starts at byte 3274: a two-byte length, a two-byte tree
+    // count (1,024), then tree 0's `shared` varint, which must be 0.
+    assert_eq!(bytes[3278], 0);
+    bytes[3278] = 5;
+    let bad = tmp("bad-block-2.stand");
+    std::fs::write(&bad, &bytes).unwrap();
+
+    let out = gentrius()
+        .args(["stand", "cat", bad.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(
+            "malformed stand container at byte 3274: tree 0 delta (shared 5 + tail 38) \
+             does not rebuild a 38-entry code"
+        ),
+        "{stderr}"
+    );
+    let good = run_ok(&["stand", "cat", fixture.to_str().unwrap()]);
+    let first: String = good.lines().take(1024).map(|l| format!("{l}\n")).collect();
+    assert!(
+        out.stdout == first.as_bytes(),
+        "expected block 1's 1,024 trees, got {} lines",
+        String::from_utf8_lossy(&out.stdout).lines().count()
+    );
+
+    let piped = bash(&format!(
+        "set -o pipefail; {} stand cat {} | head -1",
+        env!("CARGO_BIN_EXE_gentrius"),
+        bad.display()
+    ));
+    assert!(
+        piped.status.success(),
+        "{:?}: {}",
+        piped.status,
+        String::from_utf8_lossy(&piped.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&piped.stdout),
+        good.lines().next().unwrap().to_string() + "\n"
+    );
+}
+
+/// `stand export` packs a Newick file one line at a time: 20,000 stand
+/// trees (4.3 MB of text) pack under a 64 MB address-space cap, which
+/// parsing the whole file first overruns. Repacking the packed trees'
+/// Newick reproduces the container byte for byte.
+#[cfg(unix)]
+#[test]
+fn stand_export_packs_newick_line_by_line_under_a_memory_cap() {
+    let dataset = fixtures().join("blowup-3000.dataset");
+    let (src, nwk, packed) = (
+        tmp("export-20k.stand"),
+        tmp("export-20k.nwk"),
+        tmp("export-20k.packed.stand"),
+    );
+    run_ok(&[
+        "stand",
+        "--dataset",
+        dataset.to_str().unwrap(),
+        "--max-trees",
+        "20000",
+        "--output",
+        src.to_str().unwrap(),
+    ]);
+    let text = run_ok(&["stand", "cat", src.to_str().unwrap()]);
+    assert_eq!(text.lines().count(), 20_000);
+    std::fs::write(&nwk, &text).unwrap();
+
+    let out = bash(&format!(
+        "ulimit -v 65536; exec {} stand export --input {} --output {}",
+        env!("CARGO_BIN_EXE_gentrius"),
+        nwk.display(),
+        packed.display()
+    ));
+    assert!(
+        out.status.success(),
+        "{:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("packed 20000 trees"));
+
+    // The packed header interns taxa in the first tree's label order; the
+    // canonical Newick under that order is a fixed point.
+    let again = tmp("export-20k.again.nwk");
+    let repacked = tmp("export-20k.repacked.stand");
+    std::fs::write(&again, run_ok(&["stand", "cat", packed.to_str().unwrap()])).unwrap();
+    run_ok(&[
+        "stand",
+        "export",
+        "--input",
+        again.to_str().unwrap(),
+        "--output",
+        repacked.to_str().unwrap(),
+    ]);
+    assert!(std::fs::read(&repacked).unwrap() == std::fs::read(&packed).unwrap());
+}
+
 /// Kill/resume across a real process boundary: SIGKILL a checkpointed
 /// run mid-flight, then `stand resume` until the checkpoint retires and
 /// compare the stitched container against an uninterrupted run's.

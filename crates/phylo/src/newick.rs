@@ -330,7 +330,7 @@ where
 
 /// Quotes a label if it contains Newick metacharacters or whitespace
 /// (single quotes are doubled, per the standard).
-fn format_label(name: &str) -> String {
+pub(crate) fn format_label(name: &str) -> String {
     let needs_quoting = name
         .chars()
         .any(|c| c.is_whitespace() || matches!(c, '(' | ')' | ',' | ':' | ';' | '\'' | '[' | ']'));

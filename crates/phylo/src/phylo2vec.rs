@@ -19,9 +19,13 @@
 //!   depth-first search differ only in a short suffix, which the container
 //!   exploits with prefix-delta compression;
 //! * the vector is trivially hashable, giving a cheap cross-shard
-//!   topology key.
+//!   topology key;
+//! * like the phylo2vec library's vector-to-Newick conversion, a code
+//!   renders as text without a tree object: [`NewickWriter`] writes the
+//!   canonical Newick of a full-taxon code in `O(n)`.
 
-use crate::taxa::TaxonId;
+use crate::newick::format_label;
+use crate::taxa::{TaxonId, TaxonSet};
 use crate::tree::{EdgeId, NodeId, Tree};
 
 /// Errors from encoding or decoding a tree vector.
@@ -158,6 +162,161 @@ pub fn decode(universe: usize, taxa: &[TaxonId], code: &[u32]) -> Result<Tree, P
         tree.insert_leaf_on_edge(t, EdgeId(c));
     }
     Ok(tree)
+}
+
+/// `lower` entry of an internal node: the rank that created it, tagged.
+/// An untagged entry is a leaf's taxon.
+// arith: a constant shift, below the width of u32.
+const INNER: u32 = 1 << 31;
+/// Walk-stack token that closes an internal node's parenthesis (above any
+/// edge id, which stays below `INNER`).
+const CLOSE: u32 = u32::MAX;
+
+/// Writes the canonical Newick form of [`crate::newick::to_newick`]
+/// straight from a code over a full taxon set (taxa `0 .. n`, the form a
+/// `.stand` container stores), without building a [`Tree`]. Labels are
+/// quoted once, when the writer is made; the replay and walk buffers are
+/// reused across [`NewickWriter::write`] calls.
+///
+/// Root the insertion trace at `t0`'s leaf. Inserting `t_i` on edge `c`
+/// (the [`Tree::insert_leaf_on_edge`] id rule) creates a node whose two
+/// child edges are the far half `2i-3`, which leads to the subtree below
+/// `c`, and the pendant `2i-2`, whose subtree's smallest taxon is `i`.
+/// Every taxon below `c` came before `i`, so the far half always holds
+/// the smaller minimum: it is already the first sibling in canonical
+/// order. `c` keeps its id above the new node, so one `lower[edge]` array
+/// tracks the tree in three stores per insertion, and the canonical string
+/// is a preorder walk from the node below edge 0 (`t0`'s neighbour, where
+/// `to_newick` roots) that takes `2i-3` before `2i-2`: no sort, no
+/// per-node allocation and no recursion.
+#[derive(Debug)]
+pub struct NewickWriter {
+    /// Every taxon's Newick label, quoted where needed, back to back.
+    labels: String,
+    /// `labels[starts[t] .. starts[t + 1]]` is taxon `t`'s label.
+    starts: Vec<usize>,
+    /// Node below each edge of the partial tree: a taxon, or `INNER | i`
+    /// for the node `t_i`'s insertion created.
+    lower: Vec<u32>,
+    /// Preorder walk stack: pendant edges still to visit and `CLOSE`s.
+    stack: Vec<u32>,
+}
+
+impl NewickWriter {
+    /// A writer for codes over every taxon of `taxa`, in id order.
+    pub fn new(taxa: &TaxonSet) -> Self {
+        let mut labels = String::new();
+        let mut starts = Vec::with_capacity(taxa.len().saturating_add(1));
+        starts.push(0);
+        for (_, name) in taxa.iter() {
+            labels.push_str(&format_label(name));
+            starts.push(labels.len());
+        }
+        NewickWriter {
+            labels,
+            starts,
+            lower: Vec::new(),
+            stack: Vec::new(),
+        }
+    }
+
+    fn label(&self, taxon: u32) -> &str {
+        let t = taxon as usize;
+        // arith: the walk only reaches taxa below `n`, and `starts` holds
+        // `n + 1` offsets.
+        &self.labels[self.starts[t]..self.starts[t + 1]]
+    }
+
+    /// Appends the canonical Newick of the tree `code` describes to `out`
+    /// (with the closing `;`, without a newline). The code is checked as
+    /// [`decode`] checks it, with the same errors: `n - 2` entries
+    /// ([`P2vError::LengthMismatch`]), each `code[j] < 2j + 1`
+    /// ([`P2vError::OutOfRange`], the first offending entry). On an error
+    /// `out` may hold a partial line.
+    pub fn write(&mut self, code: &[u32], out: &mut String) -> Result<(), P2vError> {
+        let n = self.starts.len() - 1;
+        if code.len() != n.saturating_sub(2) {
+            return Err(P2vError::LengthMismatch {
+                taxa: n,
+                code: code.len(),
+            });
+        }
+        if n >= INNER as usize / 2 {
+            return Err(P2vError::Internal("too many taxa for u32 edge ids"));
+        }
+        match n {
+            0 => {
+                out.push(';');
+                return Ok(());
+            }
+            1 => {
+                out.push_str(self.label(0));
+                out.push(';');
+                return Ok(());
+            }
+            _ => {}
+        }
+        // Replay: edge 0 runs from t0's leaf down to t1's; before the
+        // insertion of t_i (i = j + 2) the edges are 0 .. 2j + 1.
+        self.lower.clear();
+        self.lower.push(1);
+        for (j, &c) in code.iter().enumerate() {
+            // arith: j < n - 2 and n < 2^30 (checked above), so the bound,
+            // the rank and both new edge ids fit in a u32 below `INNER`.
+            let bound = 2 * j as u32 + 1;
+            if c >= bound {
+                return Err(P2vError::OutOfRange {
+                    index: j,
+                    value: c,
+                    bound,
+                });
+            }
+            let below = self.lower[c as usize];
+            // arith: the rank i = j + 2 < n, see above.
+            self.lower[c as usize] = INNER | (j as u32 + 2);
+            self.lower.push(below); // the far half, edge 2i-3
+            self.lower.push(j as u32 + 2); // the pendant, edge 2i-2
+        }
+
+        // Walk: t0 first, then the subtrees of its neighbour, which share
+        // t0's parenthesis instead of opening their own.
+        out.push('(');
+        out.push_str(self.label(0));
+        out.push(',');
+        self.stack.clear();
+        let mut x = self.lower[0];
+        if x & INNER != 0 {
+            let i = x ^ INNER;
+            self.stack.push(2 * i - 2);
+            x = self.lower[2 * i as usize - 3];
+        }
+        loop {
+            // Down the far halves to a leaf, leaving each pendant (and the
+            // parenthesis to close after it) on the stack.
+            while x & INNER != 0 {
+                let i = x ^ INNER;
+                out.push('(');
+                self.stack.push(CLOSE);
+                self.stack.push(2 * i - 2);
+                x = self.lower[2 * i as usize - 3];
+            }
+            out.push_str(self.label(x));
+            loop {
+                match self.stack.pop() {
+                    None => {
+                        out.push_str(");");
+                        return Ok(());
+                    }
+                    Some(CLOSE) => out.push(')'),
+                    Some(e) => {
+                        out.push(',');
+                        x = self.lower[e as usize];
+                        break;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Per-node state of the encoder's replay, indexed by node id.
@@ -408,6 +567,112 @@ mod tests {
             decode(4, &taxa, &[1, 0]),
             Err(P2vError::OutOfRange { .. })
         ));
+    }
+
+    /// Every valid code on `n` taxa (`(2n-5)!!` of them for `n >= 3`).
+    fn all_codes(n: usize) -> Vec<Vec<u32>> {
+        let mut codes = vec![Vec::new()];
+        for j in 0..n.saturating_sub(2) {
+            codes = codes
+                .into_iter()
+                .flat_map(|c: Vec<u32>| {
+                    (0..2 * j as u32 + 1).map(move |e| {
+                        let mut c = c.clone();
+                        c.push(e);
+                        c
+                    })
+                })
+                .collect();
+        }
+        codes
+    }
+
+    #[test]
+    fn writer_matches_decode_then_to_newick_on_every_small_code() {
+        let plain = ["A", "B", "C", "D", "E", "F", "G", "H"];
+        // A space, a quote, '(', ',', ':', ';', '[' and a non-ASCII label
+        // (with an ideographic space, which quotes too).
+        let quoted = [
+            "Homo sapiens",
+            "O'Brien",
+            "x(y",
+            "p,q",
+            "k:v",
+            "s;t",
+            "[c",
+            "ザル\u{3000}日本",
+        ];
+        let mut checked = 0;
+        for names in [plain, quoted] {
+            for n in 0..=names.len() {
+                let mut taxa = TaxonSet::new();
+                for name in &names[..n] {
+                    taxa.intern(name);
+                }
+                let ids: Vec<TaxonId> = (0..n as u32).map(TaxonId).collect();
+                let mut writer = NewickWriter::new(&taxa);
+                let mut line = String::new();
+                for code in all_codes(n) {
+                    line.clear();
+                    writer.write(&code, &mut line).unwrap();
+                    let tree = decode(n, &ids, &code).unwrap();
+                    assert_eq!(line, to_newick(&tree, &taxa), "code {code:?}");
+                    checked += 1;
+                }
+            }
+        }
+        // 1 + 1 + 1 + 1 + 3 + 15 + 105 + 945 + 10395 codes per label set.
+        assert_eq!(checked, 2 * 11_467);
+    }
+
+    #[test]
+    fn writer_rejects_bad_codes_like_decode() {
+        let taxa = TaxonSet::with_synthetic(5);
+        let ids: Vec<TaxonId> = (0..5).map(TaxonId).collect();
+        let mut writer = NewickWriter::new(&taxa);
+        let bad: [&[u32]; 6] = [
+            &[0, 1],
+            &[0, 1, 2, 3],
+            &[1, 0, 0],
+            &[0, 3, 0],
+            &[0, 2, 5],
+            &[0, 9, 9],
+        ];
+        for code in bad {
+            let mut line = String::new();
+            let got = writer.write(code, &mut line).err();
+            assert!(got.is_some(), "{code:?} accepted");
+            assert_eq!(got, decode(5, &ids, code).err(), "{code:?}");
+        }
+        // A rejected code leaves nothing behind for the next one.
+        let mut line = String::new();
+        writer.write(&[0, 2, 4], &mut line).unwrap();
+        assert_eq!(
+            line,
+            to_newick(&decode(5, &ids, &[0, 2, 4]).unwrap(), &taxa)
+        );
+    }
+
+    #[test]
+    fn writer_renders_a_deep_caterpillar_without_recursion() {
+        // Every t_i inserted on the edge above t1: one nesting level per
+        // taxon, far deeper than a recursive renderer's stack allows.
+        let n = 200_000u32;
+        let taxa = TaxonSet::with_synthetic(n as usize);
+        let name = |t: u32| taxa.name(TaxonId(t));
+        let code: Vec<u32> = (2..n).map(|i| if i == 2 { 0 } else { 2 * i - 5 }).collect();
+        let mut line = String::new();
+        NewickWriter::new(&taxa).write(&code, &mut line).unwrap();
+        let head = format!(
+            "({},{}{},{})",
+            name(0),
+            "(".repeat(n as usize - 3),
+            name(1),
+            name(n - 1)
+        );
+        assert!(line.starts_with(&head), "{}", &line[..80]);
+        assert!(line.ends_with(&format!(",{}),{});", name(3), name(2))));
+        assert_eq!(line.matches('(').count(), n as usize - 2);
     }
 
     #[test]

@@ -353,6 +353,77 @@ proptest! {
     }
 
     #[test]
+    fn newick_writer_matches_decode_then_to_newick(
+        picks in proptest::collection::vec(0u32..u32::MAX, 0..299),
+        hostile in proptest::bool::ANY,
+    ) {
+        use phylo::newick::to_newick;
+        use phylo::phylo2vec::{self, NewickWriter};
+        use phylo::taxa::{TaxonId, TaxonSet};
+        // The writer renders the code without a tree; the tree route is
+        // the reference, with plain labels or labels that need quoting.
+        const POOL: [char; 16] = [
+            'a', 'Z', '0', ' ', '\t', '(', ')', ',', ':', ';', '\'', '[', ']', '_', 'é', '木',
+        ];
+        let code: Vec<u32> = picks
+            .iter()
+            .enumerate()
+            .map(|(j, &p)| p % (2 * j as u32 + 1))
+            .collect();
+        let n = code.len() + 2;
+        let taxa = if hostile {
+            let mut taxa = TaxonSet::new();
+            for i in 0..n {
+                taxa.intern(&format!("{}{}#{i}", POOL[i % 16], POOL[(i / 16) % 16]));
+            }
+            taxa
+        } else {
+            TaxonSet::with_synthetic(n)
+        };
+        let ids: Vec<TaxonId> = (0..n as u32).map(TaxonId).collect();
+        let tree = phylo2vec::decode(n, &ids, &code).expect("in-bounds code decodes");
+        let mut line = String::new();
+        NewickWriter::new(&taxa)
+            .write(&code, &mut line)
+            .expect("in-bounds code writes");
+        prop_assert_eq!(line, to_newick(&tree, &taxa));
+    }
+
+    #[test]
+    fn newick_writer_rejects_bad_codes_like_decode(
+        picks in proptest::collection::vec(0u32..u32::MAX, 0..299),
+        shape in 0usize..3,
+        spoil in 0usize..300,
+        over in 0u32..u32::MAX,
+    ) {
+        use phylo::phylo2vec::{self, NewickWriter};
+        use phylo::taxa::{TaxonId, TaxonSet};
+        // An in-bounds code, one entry pushed out of range when `spoil`
+        // lands inside it, over a taxon count that fits the code's length
+        // (shape 0) or misses it by one either way.
+        let mut code: Vec<u32> = picks
+            .iter()
+            .enumerate()
+            .map(|(j, &p)| p % (2 * j as u32 + 1))
+            .collect();
+        if let Some(c) = code.get_mut(spoil) {
+            let bound = 2 * spoil as u32 + 1;
+            *c = bound + over % (u32::MAX - bound);
+        }
+        let n = match shape {
+            0 => code.len() + 2,
+            1 => code.len() + 3,
+            _ => code.len() + 1,
+        };
+        let ids: Vec<TaxonId> = (0..n as u32).map(TaxonId).collect();
+        let want = phylo2vec::decode(n, &ids, &code).err();
+        let got = NewickWriter::new(&TaxonSet::with_synthetic(n))
+            .write(&code, &mut String::new())
+            .err();
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
     fn shape_stats_invariants(seed in 0u64..100_000, n in 4usize..40) {
         let tree = random_tree_on_n(n, ShapeModel::Yule, &mut ChaCha8Rng::seed_from_u64(seed));
         let s = shape_stats(&tree).expect("binary with >= 3 leaves");

@@ -31,7 +31,7 @@
 
 use crate::varint::{read_u64, write_u64};
 use crate::StandfileError;
-use phylo::phylo2vec;
+use phylo::phylo2vec::{self, NewickWriter};
 use phylo::taxa::{TaxonId, TaxonSet};
 use phylo::tree::Tree;
 use std::fs::File;
@@ -229,13 +229,13 @@ impl ContainerWriter {
         self.flush_block()?;
         for i in 0..src.block_count() {
             let raw = src.raw_block(i).map_err(&src_err)?;
-            self.out.write_all(&raw.bytes)?;
+            self.out.write_all(&src.raw)?;
             self.blocks.push(BlockEntry {
                 offset: self.offset,
                 first: self.total,
                 trees: raw.trees,
             });
-            self.offset += raw.bytes.len() as u64;
+            self.offset += src.raw.len() as u64;
             self.total += raw.trees;
         }
         Ok(())
@@ -268,19 +268,19 @@ impl ContainerWriter {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// A raw framed block (length prefix + payload) plus its tree count.
+/// What [`Container::raw_block`] found in the block it framed.
 struct RawBlock {
-    bytes: Vec<u8>,
     trees: u64,
-    /// Position in `bytes` of the first tree's delta.
+    /// Position in the framed bytes of the first tree's delta.
     body: usize,
 }
 
 /// Random-access reader over a finished `.stand` file.
 ///
 /// The footer index is loaded eagerly (16 bytes + ~10 bytes per block);
-/// tree blocks are read and delta-decoded on demand, with the most recent
-/// block cached so sequential scans decode each block once.
+/// tree blocks are read and delta-decoded on demand into one flat cache,
+/// reused from block to block, so sequential scans decode each block once
+/// and allocate nothing per block or per tree.
 pub struct Container {
     file: File,
     taxa: TaxonSet,
@@ -289,8 +289,14 @@ pub struct Container {
     total: u64,
     /// File offset of the footer: every block must end at or before it.
     footer_start: u64,
-    /// `(block index, decoded codes)` of the last block touched.
-    cache: Option<(usize, Vec<Vec<u32>>)>,
+    /// Framed bytes (length prefix + payload) of the last block read.
+    raw: Vec<u8>,
+    /// The block whose codes `codes` holds.
+    cached: Option<usize>,
+    /// That block's codes back to back, `code_len` entries per tree.
+    codes: Vec<u32>,
+    /// Renders the codes as canonical Newick (labels quoted at open).
+    writer: NewickWriter,
 }
 
 impl Container {
@@ -410,12 +416,15 @@ impl Container {
         }
         Ok(Container {
             file,
+            writer: NewickWriter::new(&taxa),
             taxa,
             code_len: (n as usize).saturating_sub(2),
             index,
             total,
             footer_start,
-            cache: None,
+            raw: Vec::new(),
+            cached: None,
+            codes: Vec::new(),
         })
     }
 
@@ -449,7 +458,8 @@ impl Container {
         self.taxa.iter().map(|(_, n)| n.to_string()).collect()
     }
 
-    /// The framed bytes of block `i`, verbatim (for merge copies), after
+    /// Reads the framed bytes of block `i`, verbatim, into `self.raw` (for
+    /// merge copies and decoding), after
     /// checking its two lengths against the bytes that hold them: the
     /// payload must end at or before the footer, which bounds the
     /// allocation by the file size, and the tree count must fit the
@@ -478,7 +488,8 @@ impl Container {
             ));
         }
         let payload_len = payload_len as usize;
-        let mut bytes = Vec::with_capacity(pos + payload_len);
+        let bytes = &mut self.raw;
+        bytes.clear();
         bytes.extend_from_slice(&prefix[..pos]);
         bytes.resize(pos + payload_len, 0);
         let already = got.saturating_sub(pos).min(payload_len);
@@ -488,7 +499,7 @@ impl Container {
                 .seek(SeekFrom::Start(offset + (pos + already) as u64))?;
             self.file.read_exact(&mut bytes[pos + already..])?;
         }
-        let trees = read_u64(&bytes, &mut pos)
+        let trees = read_u64(bytes, &mut pos)
             .ok_or_else(|| format_err(offset, "truncated block tree count"))?;
         let room = (bytes.len() - pos) / 2;
         if trees > room as u64 {
@@ -506,59 +517,52 @@ impl Container {
                 ),
             ));
         }
-        Ok(RawBlock {
-            bytes,
-            trees,
-            body: pos,
-        })
+        Ok(RawBlock { trees, body: pos })
     }
 
-    /// Decodes block `i` into full (un-deltaed) codes, via the cache.
-    fn block_codes(&mut self, i: usize) -> Result<&[Vec<u32>], StandfileError> {
-        if self.cache.as_ref().map(|(b, _)| *b) != Some(i) {
-            let raw = self.raw_block(i)?;
-            let (data, count, offset) = (&raw.bytes, raw.trees, self.index[i].offset);
-            let mut pos = raw.body;
-            let mut codes: Vec<Vec<u32>> = Vec::with_capacity(count as usize);
-            let mut prev: Vec<u32> = Vec::new();
-            for t in 0..count {
-                let shared = read_u64(data, &mut pos)
-                    .ok_or_else(|| format_err(offset, format!("truncated tree {t} (shared)")))?
-                    as usize;
-                let tail = read_u64(data, &mut pos)
-                    .ok_or_else(|| format_err(offset, format!("truncated tree {t} (tail)")))?
-                    as usize;
-                if shared > prev.len() || shared.checked_add(tail) != Some(self.code_len) {
-                    return Err(format_err(
-                        offset,
-                        format!(
-                            "tree {t} delta (shared {shared} + tail {tail}) does not \
-                             rebuild a {}-entry code",
-                            self.code_len
-                        ),
-                    ));
-                }
-                let mut code = Vec::with_capacity(self.code_len);
-                code.extend_from_slice(&prev[..shared]);
-                for e in 0..tail {
-                    let v = read_u64(data, &mut pos).ok_or_else(|| {
-                        format_err(offset, format!("truncated tree {t} entry {e}"))
-                    })?;
-                    let v = u32::try_from(v).map_err(|_| {
-                        format_err(offset, format!("tree {t} entry {e} exceeds u32"))
-                    })?;
-                    code.push(v);
-                }
-                prev.clear();
-                prev.extend_from_slice(&code);
-                codes.push(code);
+    /// Decodes block `i` into full (un-deltaed) codes in `self.codes`,
+    /// unless they are there already. The whole block is checked before
+    /// any of its trees is served.
+    fn load_block(&mut self, i: usize) -> Result<(), StandfileError> {
+        if self.cached == Some(i) {
+            return Ok(());
+        }
+        self.cached = None;
+        let raw = self.raw_block(i)?;
+        let (data, len, offset) = (&self.raw, self.code_len, self.index[i].offset);
+        let codes = &mut self.codes;
+        codes.clear();
+        let mut pos = raw.body;
+        for t in 0..raw.trees {
+            let shared = read_u64(data, &mut pos)
+                .ok_or_else(|| format_err(offset, format!("truncated tree {t} (shared)")))?
+                as usize;
+            let tail = read_u64(data, &mut pos)
+                .ok_or_else(|| format_err(offset, format!("truncated tree {t} (tail)")))?
+                as usize;
+            // The first tree of a block has no previous code to share.
+            let prev = if t == 0 { 0 } else { len };
+            if shared > prev || shared.checked_add(tail) != Some(len) {
+                return Err(format_err(
+                    offset,
+                    format!(
+                        "tree {t} delta (shared {shared} + tail {tail}) does not \
+                         rebuild a {len}-entry code"
+                    ),
+                ));
             }
-            self.cache = Some((i, codes));
+            let start = codes.len() - prev;
+            codes.extend_from_within(start..start + shared);
+            for e in 0..tail {
+                let v = read_u64(data, &mut pos)
+                    .ok_or_else(|| format_err(offset, format!("truncated tree {t} entry {e}")))?;
+                let v = u32::try_from(v)
+                    .map_err(|_| format_err(offset, format!("tree {t} entry {e} exceeds u32")))?;
+                codes.push(v);
+            }
         }
-        match &self.cache {
-            Some((_, codes)) => Ok(codes),
-            None => Err(format_err(0, "block cache lost (internal)")),
-        }
+        self.cached = Some(i);
+        Ok(())
     }
 
     fn locate(&self, tree: u64) -> Result<(usize, usize), StandfileError> {
@@ -587,11 +591,8 @@ impl Container {
     /// The phylo2vec code of tree `i`.
     pub fn code(&mut self, i: u64) -> Result<Vec<u32>, StandfileError> {
         let (block, within) = self.locate(i)?;
-        let codes = self.block_codes(block)?;
-        codes
-            .get(within)
-            .cloned()
-            .ok_or_else(|| format_err(0, format!("tree {i} missing from its block")))
+        self.load_block(block)?;
+        Ok(nth_code(&self.codes, self.code_len, within)?.to_vec())
     }
 
     /// Tree `i`, rebuilt over the header taxon set.
@@ -601,15 +602,21 @@ impl Container {
         Ok(phylo2vec::decode(self.taxa.len(), &ids, &code)?)
     }
 
-    /// Tree `i` as canonical Newick.
+    /// Tree `i` as canonical Newick, written straight from its code.
     pub fn newick(&mut self, i: u64) -> Result<String, StandfileError> {
-        let tree = self.tree(i)?;
-        Ok(phylo::newick::to_newick(&tree, &self.taxa))
+        let (block, within) = self.locate(i)?;
+        self.load_block(block)?;
+        let mut out = String::new();
+        let code = nth_code(&self.codes, self.code_len, within)?;
+        self.writer.write(code, &mut out)?;
+        Ok(out)
     }
 
     /// Streams the trees in `[start, end)` (clamped to the container) as
-    /// canonical Newick, calling `f(index, newick)` for each. Blocks are
-    /// decoded once; memory stays bounded by one block.
+    /// canonical Newick, calling `f(index, newick)` for each. Each block is
+    /// read and checked whole, then its trees are written one at a time
+    /// into one reused line: memory stays bounded by one block, and an
+    /// error in a block comes after every tree before it.
     pub fn for_each_newick<F>(
         &mut self,
         start: u64,
@@ -620,25 +627,33 @@ impl Container {
         F: FnMut(u64, &str) -> Result<(), StandfileError>,
     {
         let end = end.min(self.total);
-        if start >= end {
-            return Ok(());
-        }
-        let ids: Vec<TaxonId> = (0..self.taxa.len() as u32).map(TaxonId).collect();
-        let universe = self.taxa.len();
+        let mut line = String::new();
         let mut i = start;
         while i < end {
             let (block, mut within) = self.locate(i)?;
-            let codes: Vec<Vec<u32>> = self.block_codes(block)?.to_vec();
-            while within < codes.len() && i < end {
-                let tree = phylo2vec::decode(universe, &ids, &codes[within])?;
-                let nwk = phylo::newick::to_newick(&tree, &self.taxa);
-                f(i, &nwk)?;
+            self.load_block(block)?;
+            let entry = self.index[block];
+            // `locate` found the block that covers `i`, so this advances.
+            let stop = end.min(entry.first + entry.trees);
+            while i < stop {
+                line.clear();
+                let code = nth_code(&self.codes, self.code_len, within)?;
+                self.writer.write(code, &mut line)?;
+                f(i, &line)?;
                 i += 1;
                 within += 1;
             }
         }
         Ok(())
     }
+}
+
+/// Tree `within`'s code in a block's flat `codes`, `len` entries per tree.
+fn nth_code(codes: &[u32], len: usize, within: usize) -> Result<&[u32], StandfileError> {
+    let start = within.saturating_mul(len);
+    codes
+        .get(start..start.saturating_add(len))
+        .ok_or_else(|| format_err(0, format!("tree {within} missing from its block")))
 }
 
 /// Reads as many bytes as the reader will give (for bounded-window parses
