@@ -224,6 +224,42 @@ fn stand_fixture_rewrites_byte_for_byte() {
     assert_eq!(cat(&recoded), expected);
 }
 
+/// A sink that buffers trees must not forward announcements: the trees
+/// it passes on belong to frames announced before the latest one. A serial
+/// run of the fixture's dataset through `BatchingSink<ContainerSink>`
+/// (every tree encoded in full) must write the same bytes as one through a
+/// bare `ContainerSink` (announced completions encoded from their parent
+/// tree), and both the committed fixture.
+#[test]
+fn a_batching_sink_drops_announcements_and_writes_the_same_bytes() {
+    use gentrius_core::{run_serial, BatchingSink, GentriusConfig, StoppingRules};
+    use gentrius_datagen::dataset::Dataset;
+    use gentrius_standfile::ContainerSink;
+
+    let ds = Dataset::load(&fixtures().join("blowup-3000.dataset")).expect("dataset loads");
+    let problem = ds.problem().expect("problem");
+    let config = GentriusConfig {
+        stopping: StoppingRules::counts(3000, u64::MAX),
+        ..GentriusConfig::default()
+    };
+    let bare = tmp("announced-bare.stand");
+    let mut sink = ContainerSink::create(&bare, &ds.taxa);
+    run_serial(&problem, &config, &mut sink).expect("bare run");
+    sink.finish().expect("bare container finishes");
+    let batched = tmp("announced-batched.stand");
+    let mut sink = BatchingSink::new(ContainerSink::create(&batched, &ds.taxa), 64);
+    run_serial(&problem, &config, &mut sink).expect("batched run");
+    sink.into_inner()
+        .finish()
+        .expect("batched container finishes");
+
+    let want = std::fs::read(fixtures().join("blowup-3000.stand")).expect("fixture");
+    for path in [&bare, &batched] {
+        let got = std::fs::read(path).expect("container");
+        assert!(got == want, "{} differs from the fixture", path.display());
+    }
+}
+
 /// `stand cat FILE.stand | head -1` must exit 0: head closes the pipe
 /// after one line and the resulting EPIPE is an everyday shell idiom,
 /// not an error. The container is large enough (>64 KiB of newick) that
@@ -379,6 +415,70 @@ fn stand_cat_streams_under_a_memory_cap() {
     );
     assert_eq!(out.stdout.iter().filter(|&&b| b == b'\n').count(), 200_000);
     assert!(out.stdout.ends_with(b");\n"));
+}
+
+/// A block may hold no more trees than the header's block capacity, which
+/// bounds what it decodes to. This 1,000,231-byte 40-taxon container
+/// declares the default capacity, 1,024, but its one block holds 500,000
+/// two-byte deltas that repeat the first code: decoding it whole would
+/// take 76 MB. `stand cat` must fail on the block with a typed error under
+/// a 32 MB address-space cap instead of aborting on the allocation.
+#[cfg(unix)]
+#[test]
+fn stand_cat_rejects_a_block_above_its_capacity_under_a_memory_cap() {
+    use gentrius_standfile::{container::END_MAGIC, ContainerWriter};
+    use phylo::taxa::TaxonSet;
+
+    let leb = |out: &mut Vec<u8>, mut v: u64| {
+        while v >= 0x80 {
+            out.push((v & 0x7f) as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    };
+    let path = tmp("over-capacity.stand");
+    ContainerWriter::create(&path, &TaxonSet::with_synthetic(40))
+        .unwrap()
+        .finish()
+        .unwrap();
+    let empty = std::fs::read(&path).unwrap();
+    let mut at = [0u8; 8];
+    at.copy_from_slice(&empty[empty.len() - 16..empty.len() - 8]);
+    let header_len = u64::from_le_bytes(at);
+    let mut payload = Vec::new();
+    leb(&mut payload, 500_000);
+    payload.extend_from_slice(&[0, 38]);
+    payload.extend_from_slice(&[0; 38]);
+    for _ in 1..500_000 {
+        payload.extend_from_slice(&[38, 0]);
+    }
+    let mut bytes = empty[..header_len as usize].to_vec();
+    leb(&mut bytes, payload.len() as u64);
+    bytes.extend_from_slice(&payload);
+    let footer = bytes.len() as u64;
+    for v in [1, header_len, 500_000, 500_000] {
+        leb(&mut bytes, v);
+    }
+    bytes.extend_from_slice(&footer.to_le_bytes());
+    bytes.extend_from_slice(END_MAGIC);
+    assert_eq!(bytes.len(), 1_000_231);
+    std::fs::write(&path, &bytes).unwrap();
+
+    let out = bash(&format!(
+        "ulimit -v 32768; exec {} stand cat {} --count 1",
+        env!("CARGO_BIN_EXE_gentrius"),
+        path.display()
+    ));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{:?}: {stderr}", out.status);
+    assert!(
+        stderr.contains(&format!(
+            "malformed stand container at byte {header_len}: block 0 holds 500000 trees, \
+             more than the block capacity 1024"
+        )),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
 }
 
 /// A malformed block in the middle of a container: the trees before it

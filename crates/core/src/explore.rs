@@ -37,9 +37,22 @@ pub struct Frame {
     pub branches: Vec<EdgeId>,
     /// Index of the next branch to try.
     pub cursor: usize,
+    /// The sink has been told that this frame's completions follow (set
+    /// on the first completion step of a frame with one taxon left).
+    announced: bool,
 }
 
 impl Frame {
+    fn new(step: Option<AppliedStep>, taxon: TaxonId, branches: Vec<EdgeId>) -> Frame {
+        Frame {
+            step,
+            taxon,
+            branches,
+            cursor: 0,
+            announced: false,
+        }
+    }
+
     /// Branches not yet tried.
     pub fn pending(&self) -> usize {
         self.branches.len() - self.cursor
@@ -87,12 +100,7 @@ impl<'p> Explorer<'p> {
         };
         if !ex.root_complete {
             if let Some(next) = ex.state.select_next() {
-                ex.stack.push(Frame {
-                    step: None,
-                    taxon: next.taxon,
-                    branches: next.branches,
-                    cursor: 0,
-                });
+                ex.stack.push(Frame::new(None, next.taxon, next.branches));
             }
         }
         ex
@@ -182,12 +190,7 @@ impl<'p> Explorer<'p> {
         for &(t, e) in path {
             self.base.push(self.state.apply(t, e));
         }
-        self.stack.push(Frame {
-            step: None,
-            taxon,
-            branches,
-            cursor: 0,
-        });
+        self.stack.push(Frame::new(None, taxon, branches));
     }
 
     /// Installs a task frame on a state that is *already positioned* at the
@@ -198,12 +201,7 @@ impl<'p> Explorer<'p> {
     pub fn resume_task(&mut self, taxon: TaxonId, branches: Vec<EdgeId>) {
         assert!(self.finished(), "resume_task on a busy explorer");
         assert!(self.base.is_empty(), "previous task base not unwound");
-        self.stack.push(Frame {
-            step: None,
-            taxon,
-            branches,
-            cursor: 0,
-        });
+        self.stack.push(Frame::new(None, taxon, branches));
     }
 
     /// Number of insertions currently applied on top of this explorer's
@@ -285,9 +283,17 @@ impl<'p> Explorer<'p> {
 
     /// Advances one transition. See the module docs for the counting
     /// conventions attached to each event.
+    ///
+    /// Every completion comes from a frame with one taxon left, and the
+    /// first completion step of such a frame first announces the frame's
+    /// tree and taxon to the sink ([`StandSink::completions`]). The flag
+    /// lives on the frame, so a split, resumed, drained or aborted frame
+    /// needs no other bookkeeping: a task's new frame announces itself.
     pub fn step<S: StandSink>(&mut self, sink: &mut S) -> StepEvent {
         if self.root_complete {
             self.root_complete = false;
+            // Not a completion of any frame: withdraw a stale announcement.
+            sink.completions(None);
             sink.stand_tree(&self.state.agile);
             return StepEvent::StandTree;
         }
@@ -298,6 +304,10 @@ impl<'p> Explorer<'p> {
             let edge = top.branches[top.cursor];
             top.cursor += 1;
             let taxon = top.taxon;
+            if !top.announced && self.state.remaining_count() == 1 {
+                top.announced = true;
+                sink.completions(Some((&self.state.agile, taxon)));
+            }
             let step = self.state.apply(taxon, edge);
             if self.state.is_complete() {
                 sink.stand_tree(&self.state.agile);
@@ -315,12 +325,8 @@ impl<'p> Explorer<'p> {
                 self.state.undo(&step);
                 return StepEvent::DeadEnd;
             }
-            self.stack.push(Frame {
-                step: Some(step),
-                taxon: next.taxon,
-                branches: next.branches,
-                cursor: 0,
-            });
+            self.stack
+                .push(Frame::new(Some(step), next.taxon, next.branches));
             StepEvent::Entered
         } else {
             let Some(f) = self.stack.pop() else {

@@ -5,7 +5,7 @@
 //! done by the driver; sinks decide what to do with each complete topology.
 
 use phylo::newick::to_newick;
-use phylo::taxa::TaxonSet;
+use phylo::taxa::{TaxonId, TaxonSet};
 use phylo::tree::Tree;
 
 /// Receives each complete stand tree as it is generated. The tree reference
@@ -14,6 +14,16 @@ use phylo::tree::Tree;
 pub trait StandSink {
     /// Called once per generated stand tree.
     fn stand_tree(&mut self, tree: &Tree);
+
+    /// Announces the trees of the next [`StandSink::stand_tree`] calls, up
+    /// to the next announcement: with `Some((parent, taxon))`, each is
+    /// `parent` with `taxon` inserted on one of its edges (the completions
+    /// of one explorer frame); `None` withdraws the announcement. A sink
+    /// that encodes trees can then work from `parent`'s analysis instead
+    /// of each whole tree. The default ignores it; a sink that buffers or
+    /// reorders trees must not forward it, since the trees it passes on
+    /// later belong to earlier frames.
+    fn completions(&mut self, _parent: Option<(&Tree, TaxonId)>) {}
 }
 
 /// Counting-only sink (the driver counts; this stores nothing).
@@ -150,6 +160,9 @@ impl<S: StandSink> BatchingSink<S> {
 }
 
 impl<S: StandSink> StandSink for BatchingSink<S> {
+    // `completions` keeps its empty default: buffered trees reach the inner
+    // sink after later announcements, so forwarding one would pair trees
+    // with the wrong parent.
     fn stand_tree(&mut self, tree: &Tree) {
         match self.spare.pop() {
             Some(mut t) => {

@@ -17,7 +17,9 @@
 //! * trees that share the insertion history of their first `k` taxa share
 //!   the first `k-2` vector entries — sibling stand trees emitted by the
 //!   depth-first search differ only in a short suffix, which the container
-//!   exploits with prefix-delta compression;
+//!   exploits with prefix-delta compression, and which lets [`Encoder`]
+//!   encode the completions of one parent tree from that tree's cached
+//!   analysis ([`Encoder::completions`]);
 //! * the vector is trivially hashable, giving a cheap cross-shard
 //!   topology key;
 //! * like the phylo2vec library's vector-to-Newick conversion, a code
@@ -319,7 +321,7 @@ impl NewickWriter {
     }
 }
 
-/// Per-node state of the encoder's replay, indexed by node id.
+/// Per-node state of the encoder's analysis, indexed by node id.
 #[derive(Clone, Copy, Default)]
 struct Slot {
     /// Smallest taxon rank below the node (the tree rooted at `t0`'s leaf).
@@ -330,30 +332,387 @@ struct Slot {
     /// First node under this one on its min-child chain whose creator is
     /// smaller: the lower end of the edge `creator` was inserted on.
     below: u32,
-    /// Canonical id of the edge above the node in the partial tree the
-    /// replay has reached.
-    top: u32,
 }
 
-/// Reusable-scratch encoder: keeps its per-node buffers across
-/// [`Encoder::encode`] calls (the stand container encodes every emitted
-/// tree on the worker that found it).
-#[derive(Default)]
-pub struct Encoder {
-    /// Rank of each present taxon, indexed by taxon id.
-    rank: Vec<u32>,
-    /// Replay state, indexed by node id.
-    slots: Vec<Slot>,
-    /// `created[i]`: the internal node rank `i` created (`i >= 2`).
-    created: Vec<u32>,
-    /// Preorder from `t0`'s leaf: `(node, edge to its parent)`.
-    order: Vec<(NodeId, Option<EdgeId>)>,
-    /// DFS scratch for the preorder.
-    stack: Vec<(NodeId, Option<EdgeId>)>,
+impl Slot {
+    /// The slot of leaf `v`, whose taxon has rank `rank`.
+    fn leaf(v: u32, rank: u32) -> Slot {
+        Slot {
+            min: rank,
+            creator: 0,
+            below: v,
+        }
+    }
+
+    /// The slot of an internal node whose children are `a` and `b`.
+    ///
+    /// Pointer-jump down the min-child chain: a node with a larger creator
+    /// was inserted on the edge above this node's `below` later, and so was
+    /// everything between it and its own `below`. Each chain is jumped over
+    /// once, so a whole bottom-up pass is O(n). Every `below` is a strict
+    /// descendant, so the jump ends on any arena.
+    fn join(slots: &[Slot], a: u32, b: u32) -> Slot {
+        let (ma, mb) = (slots[a as usize].min, slots[b as usize].min);
+        let (mut w, min, creator) = if ma < mb { (a, ma, mb) } else { (b, mb, ma) };
+        while slots[w as usize].creator > creator {
+            w = slots[w as usize].below;
+        }
+        Slot {
+            min,
+            creator,
+            below: w,
+        }
+    }
 }
 
 /// `created` entry of a rank no node has claimed yet.
 const UNCLAIMED: u32 = u32::MAX;
+/// `ParentFrame::up` entry of an id that is no node of the parent tree.
+const ABSENT: u32 = u32::MAX;
+
+/// A preorder from `t0`'s leaf: `(node, edge to its parent)`.
+type Preorder = Vec<(NodeId, Option<EdgeId>)>;
+
+/// The bottom-up pass of an encode over `order`, a preorder from `t0`'s
+/// leaf: fills `slots` and `created` (every rank `>= 2` claimed by one
+/// internal node) and hands each internal node and its two children to
+/// `visit`.
+fn analyse(
+    tree: &Tree,
+    rank: &[u32],
+    order: &[(NodeId, Option<EdgeId>)],
+    slots: &mut [Slot],
+    created: &mut [u32],
+    mut visit: impl FnMut(NodeId, NodeId, NodeId),
+) -> Result<(), P2vError> {
+    // Reverse preorder visits children before parents.
+    for &(v, up) in order.iter().rev() {
+        if let Some(t) = tree.taxon(v) {
+            slots[v.index()] = Slot::leaf(v.0, rank[t.index()]);
+            continue;
+        }
+        let mut kids = tree
+            .adjacent_edges(v)
+            .iter()
+            .filter(|&&e| Some(e) != up)
+            .map(|&e| tree.opposite(e, v));
+        let (Some(a), Some(b)) = (kids.next(), kids.next()) else {
+            return Err(P2vError::Internal("internal node without two children"));
+        };
+        visit(v, a, b);
+        let slot = Slot::join(slots, a.0, b.0);
+        slots[v.index()] = slot;
+        match created.get_mut(slot.creator as usize) {
+            Some(c) if *c == UNCLAIMED => *c = v.0,
+            _ => return Err(P2vError::Internal("two nodes claim one insertion")),
+        }
+    }
+    Ok(())
+}
+
+/// Replays the canonical insertion of rank `i`, whose leaf is `leaf`, on
+/// the `top` labels ([`Tree::insert_leaf_on_edge`]'s id rule: the
+/// subdivided edge keeps its id on the `t0` side, the far half gets `2i-3`,
+/// the pendant `2i-2`) and returns its code entry.
+fn insert(
+    slots: &[Slot],
+    created: &[u32],
+    top: &mut [u32],
+    i: usize,
+    leaf: u32,
+) -> Result<u32, P2vError> {
+    let v = created[i];
+    if v == UNCLAIMED {
+        return Err(P2vError::Internal("no node for an insertion"));
+    }
+    let u = slots[v as usize].below as usize;
+    let edge = top[u];
+    // arith: `i < n`, and a binary tree on n leaves has 2n-2 nodes with
+    // u32 ids, so 2i-3 and the pendant id one past it fit in a u32.
+    let far_half = 2 * i as u32 - 3;
+    top[v as usize] = edge;
+    top[u] = far_half;
+    top[leaf as usize] = far_half + 1;
+    Ok(edge)
+}
+
+/// Grows `v` to at least `len` entries.
+fn grow<T>(v: &mut Vec<T>, len: usize)
+where
+    T: Clone,
+    T: Default,
+{
+    if v.len() < len {
+        v.resize(len, T::default());
+    }
+}
+
+/// The analysis of an announced parent tree `T′`, from which each
+/// completion `T′ + x` (taxon `x` on any edge of `T′`) is encoded without
+/// a walk over the whole tree.
+///
+/// Ranks are taken over `T′ ∪ {x}`. Inserting `x` on the edge from `p` down
+/// to `c` adds one node `m` between them; only `m` and the ancestors of
+/// `m` change their analysis, since no other subtree contains `m`. Every
+/// node that a rank below `x`'s rank `r` created keeps its slot, so the
+/// code entries of those ranks and the `top` labels they leave are the
+/// same for every completion (the prefix property of phylo2vec codes).
+#[derive(Default)]
+struct ParentFrame {
+    /// The taxon every completion inserts; `None` when no frame applies.
+    taxon: Option<TaxonId>,
+    /// That taxon's rank in a completion (at least 2).
+    rank: usize,
+    /// Taxa of a completion.
+    taxa: usize,
+    /// Live nodes of `T′`.
+    nodes: usize,
+    /// `t0`'s leaf, the root of the analysis.
+    root: u32,
+    /// Per node id: the parent in `T′` (the root's is itself), or
+    /// `ABSENT` for an id that is no node of `T′`.
+    up: Vec<u32>,
+    /// Per node id: the two children of an internal node of `T′`.
+    kids: Vec<[u32; 2]>,
+    /// Per node id: the analysis of `T′`. A completion patches `m`'s
+    /// ancestors and then restores them from `saved_slots`.
+    slots: Vec<Slot>,
+    /// Per rank: the node of `T′` it created (`UNCLAIMED` for `rank`).
+    created: Vec<u32>,
+    /// Per rank: the leaf of `T′` with that rank (unused for `rank`).
+    leaves: Vec<u32>,
+    /// The code entries of the ranks below `rank`.
+    prefix: Vec<u32>,
+    /// Per node id: the `top` labels once the ranks below `rank` are in.
+    top: Vec<u32>,
+    /// A completion's copy of `top`, replayed from `rank` on.
+    work: Vec<u32>,
+    /// The slots and the `created` entries a completion patched.
+    saved_slots: Vec<(u32, Slot)>,
+    saved_created: Vec<(usize, u32)>,
+}
+
+impl ParentFrame {
+    /// Analyses `parent` for completions with `x`, or returns `None` (no
+    /// frame applies) when `parent` cannot be encoded, `x` is `t0` or `t1`
+    /// of a completion, or a completion has fewer than 4 taxa.
+    fn analyse(
+        &mut self,
+        parent: &Tree,
+        x: TaxonId,
+        rank: &mut Vec<u32>,
+        stack: &mut Preorder,
+        order: &mut Preorder,
+    ) -> Option<()> {
+        // arith: `leaf_count < universe`, which fits in a usize.
+        let taxa = parent.leaf_count() + 1;
+        if x.index() >= parent.universe()
+            || parent.leaf(x).is_some()
+            || taxa < 4
+            || !parent.is_binary_unrooted()
+        {
+            return None;
+        }
+        grow(rank, parent.universe());
+        self.leaves.clear();
+        let mut r = None;
+        for t in parent.taxa().iter() {
+            if r.is_none() && t > x.index() {
+                r = Some(self.leaves.len());
+                self.leaves.push(ABSENT);
+            }
+            // arith: ranks stay below the node count, which fits in a u32
+            // (node ids are u32); taxon ids come from u32-backed `TaxonId`s.
+            rank[t] = self.leaves.len() as u32;
+            self.leaves.push(parent.leaf(TaxonId(t as u32))?.0);
+        }
+        self.rank = match r {
+            Some(r) => r,
+            None => {
+                self.leaves.push(ABSENT);
+                taxa - 1
+            }
+        };
+        if self.rank < 2 {
+            return None;
+        }
+        let root = NodeId(self.leaves[0]);
+        parent.preorder_into(root, stack, order);
+        if order.len() != parent.node_count() {
+            return None;
+        }
+        let bound = parent.node_id_bound();
+        self.up.clear();
+        self.up.resize(bound, ABSENT);
+        for &(v, e) in order.iter() {
+            self.up[v.index()] = e.map_or(v.0, |e| parent.opposite(e, v).0);
+        }
+        grow(&mut self.kids, bound);
+        grow(&mut self.slots, bound);
+        grow(&mut self.top, bound);
+        self.created.clear();
+        self.created.resize(taxa, UNCLAIMED);
+        let kids = &mut self.kids;
+        analyse(
+            parent,
+            rank,
+            order,
+            &mut self.slots,
+            &mut self.created,
+            |v, a, b| kids[v.index()] = [a.0, b.0],
+        )
+        .ok()?;
+        self.top[self.leaves[1] as usize] = 0;
+        self.prefix.clear();
+        for i in 2..self.rank {
+            let entry = insert(&self.slots, &self.created, &mut self.top, i, self.leaves[i]);
+            self.prefix.push(entry.ok()?);
+        }
+        (self.taxa, self.nodes, self.root) = (taxa, parent.node_count(), root.0);
+        self.taxon = Some(x);
+        Some(())
+    }
+
+    /// Whether node id `v` is a node of `T′`.
+    fn holds(&self, v: NodeId) -> bool {
+        self.up.get(v.index()).is_some_and(|&u| u != ABSENT)
+    }
+
+    /// The node `x`'s leaf hangs from in `tree`, and the parent/child pair
+    /// of `T′` whose edge it subdivides, if `tree` is shaped like a
+    /// completion: `T′`'s leaf count plus one, `T′`'s node count plus two,
+    /// and `x`'s neighbour of degree 3 with a parent/child pair of `T′` as
+    /// its other two neighbours.
+    fn locate(&self, tree: &Tree, x: TaxonId) -> Option<(NodeId, NodeId, NodeId, NodeId)> {
+        // arith: `nodes` counts the live nodes of an arena, far below
+        // usize::MAX.
+        if x.index() >= tree.universe()
+            || tree.leaf_count() != self.taxa
+            || tree.node_count() != self.nodes + 2
+        {
+            return None;
+        }
+        let xl = tree.leaf(x)?;
+        let &[pendant] = tree.adjacent_edges(xl) else {
+            return None;
+        };
+        let m = tree.opposite(pendant, xl);
+        let &[e1, e2, e3] = tree.adjacent_edges(m) else {
+            return None;
+        };
+        let mut others = [e1, e2, e3]
+            .into_iter()
+            .filter(|&e| e != pendant)
+            .map(|e| tree.opposite(e, m));
+        let (Some(a), Some(b)) = (others.next(), others.next()) else {
+            return None;
+        };
+        if self.holds(xl) || self.holds(m) || !self.holds(a) || !self.holds(b) || a == b {
+            return None;
+        }
+        let (p, c) = match (self.up[a.index()], self.up[b.index()]) {
+            (u, _) if u == b.0 => (b, a),
+            (_, u) if u == a.0 => (a, b),
+            _ => return None,
+        };
+        Some((xl, m, p, c))
+    }
+
+    /// Encodes `tree`, a completion of the frame, into `code`; `false`
+    /// (with `code` unspecified) when `tree` is not shaped like one.
+    fn complete(&mut self, tree: &Tree, code: &mut Vec<u32>) -> bool {
+        let Some(x) = self.taxon else {
+            return false;
+        };
+        let Some((xl, m, p, c)) = self.locate(tree, x) else {
+            return false;
+        };
+        let r = self.rank;
+        let bound = tree.node_id_bound();
+        grow(&mut self.slots, bound);
+        // arith: ranks stay below the node count (see `analyse`).
+        self.slots[xl.index()] = Slot::leaf(xl.0, r as u32);
+        self.saved_slots.clear();
+        self.saved_created.clear();
+        // `m` has children `c` and `x`. Every ancestor of `m` up to `t0`'s
+        // leaf is recomputed from its two children: stopping where a slot
+        // comes out unchanged would be wrong, since a higher node's jump
+        // can pass through that node into changed ones.
+        let slot = Slot::join(&self.slots, xl.0, c.0);
+        self.slots[m.index()] = slot;
+        let mut claimed = self.claim(slot.creator, m.0);
+        let (mut child, mut was, mut v) = (m.0, c.0, p.0);
+        while claimed && v != self.root {
+            let [k1, k2] = self.kids[v as usize];
+            let slot = Slot::join(&self.slots, child, if k1 == was { k2 } else { k1 });
+            self.saved_slots.push((v, self.slots[v as usize]));
+            self.slots[v as usize] = slot;
+            claimed = self.claim(slot.creator, v);
+            (child, was) = (v, v);
+            v = self.up[v as usize];
+        }
+
+        code.clear();
+        code.extend_from_slice(&self.prefix);
+        self.work.clear();
+        self.work.extend_from_slice(&self.top);
+        grow(&mut self.work, bound);
+        let ok = claimed
+            && (r..self.taxa).all(|i| {
+                let leaf = if i == r { xl.0 } else { self.leaves[i] };
+                insert(&self.slots, &self.created, &mut self.work, i, leaf)
+                    .map(|entry| code.push(entry))
+                    .is_ok()
+            });
+        self.restore();
+        ok
+    }
+
+    /// Points rank `k`'s `created` entry at node `v`, saving the old entry;
+    /// `false` for a rank beyond the completion's.
+    fn claim(&mut self, k: u32, v: u32) -> bool {
+        let Some(entry) = self.created.get_mut(k as usize) else {
+            return false;
+        };
+        self.saved_created.push((k as usize, *entry));
+        *entry = v;
+        true
+    }
+
+    /// Undoes a completion's patch, newest first.
+    fn restore(&mut self) {
+        for &(v, slot) in self.saved_slots.iter().rev() {
+            self.slots[v as usize] = slot;
+        }
+        for &(k, node) in self.saved_created.iter().rev() {
+            self.created[k] = node;
+        }
+    }
+}
+
+/// Reusable-scratch encoder: keeps its per-node buffers across
+/// [`Encoder::encode_into`] calls (the stand container encodes every
+/// emitted tree on the worker that found it), and encodes the completions
+/// of an announced parent tree ([`Encoder::completions`]) from that tree's
+/// cached analysis.
+#[derive(Default)]
+pub struct Encoder {
+    /// Rank of each present taxon, indexed by taxon id.
+    rank: Vec<u32>,
+    /// Analysis state, indexed by node id.
+    slots: Vec<Slot>,
+    /// Canonical id of the edge above each node in the partial tree the
+    /// replay has reached, indexed by node id.
+    top: Vec<u32>,
+    /// `created[i]`: the internal node rank `i` created (`i >= 2`).
+    created: Vec<u32>,
+    /// Preorder from `t0`'s leaf: `(node, edge to its parent)`.
+    order: Preorder,
+    /// DFS scratch for the preorder.
+    stack: Preorder,
+    /// The announced parent tree's analysis.
+    frame: ParentFrame,
+}
 
 impl Encoder {
     /// A fresh encoder (buffers grow on first use).
@@ -361,7 +720,60 @@ impl Encoder {
         Encoder::default()
     }
 
+    /// Announces the trees encoded next, up to the next announcement:
+    /// `Some((parent, taxon))` says each is `parent` with `taxon` inserted
+    /// on one of its edges, and `None` withdraws the announcement. The
+    /// parent is analysed once here, so each of its completions costs a
+    /// walk from the new node up to `t0`'s leaf and a replay of the ranks
+    /// from `taxon`'s upward instead of a full encode; one analysis costs
+    /// about one full encode. A tree not shaped like a completion, or a
+    /// parent the incremental path does not cover (`taxon` is `t0` or
+    /// `t1`, fewer than 4 taxa, a tree [`Encoder::encode_into`] rejects),
+    /// takes the full encode, with its errors.
+    pub fn completions(&mut self, parent: Option<(&Tree, TaxonId)>) {
+        self.frame.taxon = None;
+        if let Some((tree, x)) = parent {
+            let (rank, stack, order) = (&mut self.rank, &mut self.stack, &mut self.order);
+            // `None` leaves no frame: every tree takes the full encode.
+            let _ = self.frame.analyse(tree, x, rank, stack, order);
+        }
+    }
+
     /// Encodes `tree` into its canonical [`TreeVector`] in `O(n)`.
+    pub fn encode(&mut self, tree: &Tree) -> Result<TreeVector, P2vError> {
+        let mut code = Vec::new();
+        self.encode_into(tree, &mut code)?;
+        // arith: taxon ids originate from the universe's u32-backed
+        // `TaxonId`s, so the round-trip through `usize` cannot truncate.
+        let taxa = tree.taxa().iter().map(|t| TaxonId(t as u32)).collect();
+        Ok(TreeVector { taxa, code })
+    }
+
+    /// Writes `tree`'s canonical code into `code` (cleared first), with no
+    /// allocation once the buffers are warm. A completion of the announced
+    /// parent tree is patched from its cached analysis; debug builds check
+    /// each such code against the full encode.
+    pub fn encode_into(&mut self, tree: &Tree, code: &mut Vec<u32>) -> Result<(), P2vError> {
+        if self.frame.complete(tree, code) {
+            debug_assert_eq!(
+                Ok(code.as_slice()),
+                self.full(tree).as_deref(),
+                "incremental encode of a completion differs from the full encode"
+            );
+            return Ok(());
+        }
+        code.clear();
+        self.encode_full(tree, code)
+    }
+
+    /// The full encode into a fresh vector (the debug cross-check).
+    fn full(&mut self, tree: &Tree) -> Result<Vec<u32>, P2vError> {
+        let mut code = Vec::new();
+        self.encode_full(tree, &mut code)?;
+        Ok(code)
+    }
+
+    /// The full encode in `O(n)`.
     ///
     /// Rooted at `t0`'s leaf, the internal node that the canonical
     /// insertion of `t_i` created is the one whose two subtrees have
@@ -369,107 +781,51 @@ impl Encoder {
     /// inserted on ran from that node's parent down to `below`: the first
     /// node on its min-child chain that existed before `t_i`. Replaying
     /// the insertions in rank order with [`Tree::insert_leaf_on_edge`]'s
-    /// id rule (the subdivided edge keeps its id on the `t0` side, the far
-    /// half gets `2i-3`, the pendant `2i-2`) then reads each code entry
-    /// off the edge above `below`.
-    pub fn encode(&mut self, tree: &Tree) -> Result<TreeVector, P2vError> {
-        // arith: taxon ids originate from the universe's u32-backed
-        // `TaxonId`s, so the round-trip through `usize` cannot truncate.
-        let taxa: Vec<TaxonId> = tree.taxa().iter().map(|t| TaxonId(t as u32)).collect();
-        let n = taxa.len();
+    /// id rule then reads each code entry off the edge above `below`.
+    fn encode_full(&mut self, tree: &Tree, code: &mut Vec<u32>) -> Result<(), P2vError> {
+        let n = tree.leaf_count();
         if n <= 2 {
-            return Ok(TreeVector {
-                taxa,
-                code: Vec::new(),
-            });
+            return Ok(());
         }
         if !tree.is_binary_unrooted() {
             return Err(P2vError::NotBinary);
         }
-        if self.rank.len() < tree.universe() {
-            self.rank.resize(tree.universe(), 0);
-        }
-        for (i, t) in taxa.iter().enumerate() {
+        grow(&mut self.rank, tree.universe());
+        for (i, t) in tree.taxa().iter().enumerate() {
             // arith: a binary tree on n leaves has 2n-2 nodes with u32 ids,
-            // so every rank (and `2i-2` below) fits in a u32.
-            self.rank[t.index()] = i as u32;
+            // so every rank fits in a u32.
+            self.rank[t] = i as u32;
         }
-        let leaf = |t: TaxonId| {
-            tree.leaf(t)
+        let leaf = |t: usize| {
+            // arith: taxon ids come from u32-backed `TaxonId`s.
+            tree.leaf(TaxonId(t as u32))
                 .ok_or(P2vError::Internal("present taxon has no leaf"))
+        };
+        let mut taxa = tree.taxa().iter();
+        let (Some(t0), Some(t1)) = (taxa.next(), taxa.next()) else {
+            return Err(P2vError::Internal("present taxon has no leaf"));
         };
         // The walk is bounded by the live node count, so a cyclic or
         // disconnected arena shows as a wrong length instead of a hang.
-        tree.preorder_into(leaf(taxa[0])?, &mut self.stack, &mut self.order);
+        tree.preorder_into(leaf(t0)?, &mut self.stack, &mut self.order);
         if self.order.len() != tree.node_count() {
             return Err(P2vError::Internal("tree is cyclic or disconnected"));
         }
-
-        // Bottom-up: reverse preorder visits children before parents.
-        if self.slots.len() < tree.node_id_bound() {
-            self.slots.resize(tree.node_id_bound(), Slot::default());
-        }
+        grow(&mut self.slots, tree.node_id_bound());
+        grow(&mut self.top, tree.node_id_bound());
         self.created.clear();
         self.created.resize(n, UNCLAIMED);
-        for &(v, up) in self.order.iter().rev() {
-            if let Some(t) = tree.taxon(v) {
-                self.slots[v.index()] = Slot {
-                    min: self.rank[t.index()],
-                    creator: 0,
-                    below: v.0,
-                    top: 0,
-                };
-                continue;
-            }
-            let mut kids = tree
-                .adjacent_edges(v)
-                .iter()
-                .filter(|&&e| Some(e) != up)
-                .map(|&e| tree.opposite(e, v));
-            let (Some(a), Some(b)) = (kids.next(), kids.next()) else {
-                return Err(P2vError::Internal("internal node without two children"));
-            };
-            let (ma, mb) = (self.slots[a.index()].min, self.slots[b.index()].min);
-            let (min_child, min, creator) = if ma < mb { (a, ma, mb) } else { (b, mb, ma) };
-            // Pointer-jump down the min-child chain: a node with a larger
-            // creator was inserted on the edge above this node's `below`
-            // later, and so was everything between it and its own `below`.
-            // Each chain is jumped over once, so the whole pass is O(n).
-            let mut w = min_child.0;
-            while self.slots[w as usize].creator > creator {
-                w = self.slots[w as usize].below;
-            }
-            self.slots[v.index()] = Slot {
-                min,
-                creator,
-                below: w,
-                top: 0,
-            };
-            match self.created.get_mut(creator as usize) {
-                Some(c) if *c == UNCLAIMED => *c = v.0,
-                _ => return Err(P2vError::Internal("two nodes claim one insertion")),
-            }
-        }
+        let (slots, created) = (&mut self.slots, &mut self.created);
+        analyse(tree, &self.rank, &self.order, slots, created, |_, _, _| {})?;
 
-        // Replay the canonical insertions on the `top` labels.
-        self.slots[leaf(taxa[1])?.index()].top = 0;
-        let mut code = Vec::with_capacity(n - 2);
-        for (i, &t) in taxa.iter().enumerate().skip(2) {
-            let v = self.created[i];
-            if v == UNCLAIMED {
-                return Err(P2vError::Internal("no node for an insertion"));
-            }
-            let u = self.slots[v as usize].below as usize;
-            let edge = self.slots[u].top;
-            code.push(edge);
-            // arith: `i < n`, and 2n-3 < 2^32 (see the rank loop above).
-            let far_half = 2 * i as u32 - 3;
-            self.slots[v as usize].top = edge;
-            self.slots[u].top = far_half;
-            // arith: the pendant id is one past the far half, below 2n-3.
-            self.slots[leaf(t)?.index()].top = far_half + 1;
+        self.top[leaf(t1)?.index()] = 0;
+        code.reserve(n - 2);
+        for (i, t) in taxa.enumerate() {
+            // arith: the iterator has yielded t0 and t1 already.
+            let entry = insert(&self.slots, &self.created, &mut self.top, i + 2, leaf(t)?.0)?;
+            code.push(entry);
         }
-        Ok(TreeVector { taxa, code })
+        Ok(())
     }
 }
 

@@ -435,3 +435,52 @@ proptest! {
         prop_assert!(s.sackin >= (n as u64).saturating_sub(1));
     }
 }
+
+proptest! {
+    // Each case encodes every leaf of a tree of up to 300 taxa three times
+    // over (announcement, completion, full encode), so fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn phylo2vec_completions_encode_like_full_encodes(
+        seed in 0u64..1_000_000,
+        n in 4usize..300,
+        sparse in proptest::bool::ANY,
+    ) {
+        use phylo::generate::random_tree;
+        use phylo::ops::restrict;
+        use phylo::phylo2vec::Encoder;
+        use phylo::taxa::TaxonId;
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        // Every leaf x of rank >= 2 comes off a random tree; the parent
+        // tree left is announced once and gets x back on random edges,
+        // inserted and undone on one arena as an explorer frame emits its
+        // completions. Sparse draws take ids from a universe twice as
+        // large, in shuffled order.
+        let model = if seed % 2 == 0 { ShapeModel::Uniform } else { ShapeModel::Yule };
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let universe = if sparse { 2 * n } else { n };
+        let mut ids: Vec<TaxonId> = (0..universe as u32).map(TaxonId).collect();
+        if sparse {
+            ids.shuffle(&mut rng);
+        }
+        let tree = random_tree(universe, &ids[..n], model, &mut rng);
+        let mut present = ids[..n].to_vec();
+        present.sort();
+        let (mut incremental, mut full) = (Encoder::new(), Encoder::new());
+        let mut code = Vec::new();
+        for &x in &present[2..] {
+            let others = present.iter().filter(|&&t| t != x).map(|t| t.index());
+            let mut parent = restrict(&tree, &BitSet::from_iter(universe, others));
+            incremental.completions(Some((&parent, x)));
+            let edges: Vec<_> = parent.edges().collect();
+            for _ in 0..2 {
+                let ins = parent.insert_leaf_on_edge(x, edges[rng.gen_range(0..edges.len())]);
+                incremental.encode_into(&parent, &mut code).expect("completion encodes");
+                prop_assert_eq!(&code, &full.encode(&parent).expect("full encode").code);
+                parent.remove_insertion(&ins);
+            }
+        }
+    }
+}

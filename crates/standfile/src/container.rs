@@ -47,6 +47,10 @@ pub const VERSION: u64 = 1;
 /// Default number of trees per block: large enough to amortize the length
 /// prefix and delta reset, small enough that random access decodes little.
 pub const DEFAULT_BLOCK_CAPACITY: usize = 1024;
+/// Most code entries one block may decode to (block capacity × code
+/// length): a reader's block cache holds at most this many `u32`s (64 MiB).
+/// Writers lower the capacity of very wide trees to stay under it.
+pub const MAX_BLOCK_ENTRIES: u64 = 1 << 24;
 
 fn format_err(offset: u64, msg: impl Into<String>) -> StandfileError {
     StandfileError::Format {
@@ -111,12 +115,16 @@ impl ContainerWriter {
 
     /// [`ContainerWriter::create`] with an explicit trees-per-block cap
     /// (small capacities are useful in tests to force block boundaries).
+    /// The capacity is lowered where needed so a block decodes to at most
+    /// [`MAX_BLOCK_ENTRIES`] entries.
     pub fn with_capacity(
         path: &Path,
         taxa: &TaxonSet,
         capacity: usize,
     ) -> Result<ContainerWriter, StandfileError> {
-        let capacity = capacity.max(1);
+        let code_len = taxa.len().saturating_sub(2).max(1) as u64;
+        let fits = usize::try_from(MAX_BLOCK_ENTRIES / code_len).unwrap_or(usize::MAX);
+        let capacity = capacity.min(fits).max(1);
         let file = File::create(path)?;
         let mut header = Vec::with_capacity(64);
         header.extend_from_slice(MAGIC);
@@ -229,6 +237,13 @@ impl ContainerWriter {
         self.flush_block()?;
         for i in 0..src.block_count() {
             let raw = src.raw_block(i).map_err(&src_err)?;
+            if raw.trees > self.capacity as u64 {
+                let msg = format!(
+                    "block {i} holds {} trees, more than the merged container's block capacity {}",
+                    raw.trees, self.capacity
+                );
+                return Err(src_err(format_err(src.index[i].offset, msg)));
+            }
             self.out.write_all(&src.raw)?;
             self.blocks.push(BlockEntry {
                 offset: self.offset,
@@ -285,6 +300,8 @@ pub struct Container {
     file: File,
     taxa: TaxonSet,
     code_len: usize,
+    /// Most trees a block may hold (the header's block capacity).
+    capacity: u64,
     index: Vec<BlockEntry>,
     total: u64,
     /// File offset of the footer: every block must end at or before it.
@@ -347,8 +364,20 @@ impl Container {
             }
             pos = end;
         }
-        read_u64(&head, &mut pos)
+        let at = 8 + pos as u64;
+        let capacity = read_u64(&head, &mut pos)
             .ok_or_else(|| format_err(8 + pos as u64, "truncated header (block capacity)"))?;
+        let code_len = (n as usize).saturating_sub(2);
+        let entries = capacity.saturating_mul(code_len as u64);
+        if entries > MAX_BLOCK_ENTRIES {
+            return Err(format_err(
+                at,
+                format!(
+                    "block capacity {capacity} of {code_len}-entry codes decodes to {entries} \
+                     entries, above the limit of {MAX_BLOCK_ENTRIES}"
+                ),
+            ));
+        }
 
         // Footer: fixed 16-byte trailer points at the index.
         let file_len = file.seek(SeekFrom::End(0))?;
@@ -418,7 +447,8 @@ impl Container {
             file,
             writer: NewickWriter::new(&taxa),
             taxa,
-            code_len: (n as usize).saturating_sub(2),
+            code_len,
+            capacity,
             index,
             total,
             footer_start,
@@ -464,7 +494,8 @@ impl Container {
     /// payload must end at or before the footer, which bounds the
     /// allocation by the file size, and the tree count must fit the
     /// payload (every tree takes at least its two `shared`/`tail` varint
-    /// bytes) and agree with the index.
+    /// bytes), the header's block capacity (which bounds the decoded
+    /// codes by [`MAX_BLOCK_ENTRIES`]) and agree with the index.
     fn raw_block(&mut self, i: usize) -> Result<RawBlock, StandfileError> {
         let entry = *self
             .index
@@ -506,6 +537,15 @@ impl Container {
             return Err(format_err(
                 offset,
                 format!("block {i} claims {trees} trees but has room for at most {room}"),
+            ));
+        }
+        if trees > self.capacity {
+            return Err(format_err(
+                offset,
+                format!(
+                    "block {i} holds {trees} trees, more than the block capacity {}",
+                    self.capacity
+                ),
             ));
         }
         if trees != entry.trees {

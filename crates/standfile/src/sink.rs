@@ -5,7 +5,7 @@ use crate::container::{ContainerSummary, ContainerWriter, DEFAULT_BLOCK_CAPACITY
 use crate::StandfileError;
 use gentrius_core::StandSink;
 use phylo::phylo2vec::Encoder;
-use phylo::taxa::TaxonSet;
+use phylo::taxa::{TaxonId, TaxonSet};
 use phylo::tree::Tree;
 use std::path::Path;
 
@@ -17,11 +17,17 @@ use std::path::Path;
 /// through an infallible `Fn(usize) -> S` factory: creation and encoding
 /// errors are captured internally, further trees are dropped once an error
 /// is latched, and the first error is surfaced by [`ContainerSink::finish`].
-/// The parallel path wraps it in `BatchingSink`, which hands it trees in
-/// bursts from recycled buffers; encoding still runs on the worker thread.
+///
+/// Announced completions ([`StandSink::completions`]) go to the encoder,
+/// which then encodes each from its parent tree's cached analysis; every
+/// code is encoded into one reused buffer. The parallel path wraps the sink
+/// in `BatchingSink`, which hands it trees in bursts from recycled buffers
+/// and no announcements, so it encodes each tree in full; encoding still
+/// runs on the worker thread.
 pub struct ContainerSink {
     writer: Option<ContainerWriter>,
     encoder: Encoder,
+    code: Vec<u32>,
     err: Option<StandfileError>,
     pushed: u64,
 }
@@ -42,6 +48,7 @@ impl ContainerSink {
         ContainerSink {
             writer,
             encoder: Encoder::new(),
+            code: Vec::new(),
             err,
             pushed: 0,
         }
@@ -83,12 +90,16 @@ impl StandSink for ContainerSink {
         };
         let result = self
             .encoder
-            .encode(tree)
+            .encode_into(tree, &mut self.code)
             .map_err(StandfileError::from)
-            .and_then(|tv| writer.push_code(&tv.code));
+            .and_then(|()| writer.push_code(&self.code));
         match result {
             Ok(()) => self.pushed += 1,
             Err(e) => self.err = Some(e),
         }
+    }
+
+    fn completions(&mut self, parent: Option<(&Tree, TaxonId)>) {
+        self.encoder.completions(parent);
     }
 }

@@ -1,5 +1,6 @@
 //! Container write/read round-trips, random access across block
-//! boundaries, segment merging, and hostile-label headers.
+//! boundaries, segment merging, hostile-label headers, and announced
+//! completions encoded from their parent tree.
 
 use gentrius_core::StandSink;
 use gentrius_standfile::{
@@ -7,8 +8,10 @@ use gentrius_standfile::{
 };
 use phylo::generate::{random_tree_on_n, ShapeModel};
 use phylo::newick::to_newick;
-use phylo::phylo2vec;
-use phylo::taxa::TaxonSet;
+use phylo::ops::restrict;
+use phylo::phylo2vec::{self, Encoder};
+use phylo::taxa::{TaxonId, TaxonSet};
+use phylo::{BitSet, EdgeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::path::PathBuf;
@@ -209,6 +212,30 @@ fn merge_with_a_torn_segment_fails_and_deletes_nothing() {
     }
 }
 
+/// A merge copies blocks verbatim, so it refuses a segment block larger
+/// than the merged container's block capacity: readers reject such blocks.
+#[test]
+fn merge_refuses_a_block_above_the_destination_capacity() {
+    let (taxa, trees, _) = random_trees(10, 1100, 5);
+    let seg = tmp("wide.seg0");
+    let mut sink = ContainerSink::with_capacity(&seg, &taxa, 2048);
+    for t in &trees {
+        sink.stand_tree(t);
+    }
+    assert_eq!(sink.finish().expect("segment finish").blocks, 1);
+    let dest = tmp("wide.stand");
+    let segs = [seg.clone()];
+    let err = merge_segments(&dest, &taxa, &segs).expect_err("an oversized block must fail");
+    assert!(
+        matches!(&err, StandfileError::Segment { path, .. } if *path == seg),
+        "got {err:?}"
+    );
+    let want = "block 0 holds 1100 trees, more than the merged container's block capacity 1024";
+    assert!(err.to_string().contains(want), "{err}");
+    assert!(seg.exists() && !dest.exists());
+    std::fs::remove_file(&seg).ok();
+}
+
 #[test]
 fn hostile_labels_survive_the_header() {
     let mut taxa = TaxonSet::new();
@@ -336,6 +363,14 @@ fn hostile_lengths_fail_closed() {
     let at = header.len() as u64;
     let one_tree = framed(1, &[(0, 4, &[0, 0, 0, 0])]);
 
+    // 1,025 trees: the first in full, 1,024 two-byte repeats of it.
+    let mut deltas: Vec<(u64, u64, &[u64])> = vec![(0, 4, &[0, 0, 0, 0])];
+    deltas.extend(std::iter::repeat_n((4, 0, &[][..]), 1024));
+    let over_capacity = framed(1025, &deltas);
+    // The header ends in its block capacity, 1,024 as a two-byte varint.
+    let mut wide_header = header[..header.len() - 2].to_vec();
+    varint(&mut wide_header, 1 << 23);
+
     let mut huge_block = Vec::new();
     varint(&mut huge_block, 1 << 44);
     huge_block.extend_from_slice(&[1, 0, 4, 0, 0, 0, 0]);
@@ -373,6 +408,17 @@ fn hostile_lengths_fail_closed() {
             "block tree count disagrees with the index",
             craft(header, &one_tree, &[1, at, 2, 2]),
             "block 0 holds 1 trees but the index says 2",
+        ),
+        (
+            "block tree count above the header's block capacity",
+            craft(header, &over_capacity, &[1, at, 1025, 1025]),
+            "block 0 holds 1025 trees, more than the block capacity 1024",
+        ),
+        (
+            "header block capacity decodes past the limit",
+            craft(&wide_header, &[], &[0, 0]),
+            "block capacity 8388608 of 4-entry codes decodes to 33554432 entries, \
+             above the limit of 16777216",
         ),
         (
             "delta tail overflows",
@@ -458,4 +504,68 @@ fn prefix_delta_compresses_sibling_runs() {
         "delta coding should beat naive packing 4x on sibling runs: {size} vs {naive}"
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// Every valid code on `n` taxa (`(2n-5)!!` of them for `n >= 3`).
+fn all_codes(n: usize) -> Vec<Vec<u32>> {
+    let mut codes = vec![Vec::new()];
+    for j in 0..n.saturating_sub(2) as u32 {
+        codes = codes
+            .into_iter()
+            .flat_map(|c: Vec<u32>| {
+                (0..2 * j + 1).map(move |e| {
+                    let mut c = c.clone();
+                    c.push(e);
+                    c
+                })
+            })
+            .collect();
+    }
+    codes
+}
+
+/// Every tree on 4–8 taxa, as every code decodes: each leaf `x` of rank
+/// `>= 2` is removed, and the parent tree `T′` left gets `x` back on every
+/// one of its edges through the explorer's sequence — one announcement,
+/// then one `stand_tree` per completion, inserted and undone on one arena.
+/// Every code the container holds must equal the full encode of its tree.
+#[test]
+fn announced_completions_encode_like_full_encodes_on_every_small_code() {
+    let mut full = Encoder::new();
+    let mut completions = 0;
+    for n in 4..=8usize {
+        let taxa = TaxonSet::with_synthetic(n);
+        let ids: Vec<TaxonId> = (0..n as u32).map(TaxonId).collect();
+        let path = tmp(&format!("completions-{n}.stand"));
+        let mut sink = ContainerSink::create(&path, &taxa);
+        let mut want = Vec::new();
+        for code in all_codes(n) {
+            let tree = phylo2vec::decode(n, &ids, &code).expect("decode");
+            for x in 2..n {
+                let keep = BitSet::from_iter(n, (0..n).filter(|&t| t != x));
+                let mut parent = restrict(&tree, &keep);
+                let x = TaxonId(x as u32);
+                sink.completions(Some((&parent, x)));
+                let edges: Vec<EdgeId> = parent.edges().collect();
+                for e in edges {
+                    let ins = parent.insert_leaf_on_edge(x, e);
+                    sink.stand_tree(&parent);
+                    want.push(full.encode(&parent).expect("full encode").code);
+                    parent.remove_insertion(&ins);
+                }
+            }
+        }
+        assert_eq!(sink.finish().expect("finish").trees, want.len() as u64);
+        let mut c = Container::open(&path).expect("open");
+        for (i, code) in want.iter().enumerate() {
+            assert_eq!(&c.code(i as u64).expect("code"), code, "{n} taxa, tree {i}");
+        }
+        completions += want.len();
+        std::fs::remove_file(&path).ok();
+    }
+    // Per n: (2n-5)!! codes, n-2 leaves, 2n-5 edges of T′.
+    assert_eq!(
+        completions,
+        3 * 2 * 3 + 15 * 3 * 5 + 105 * 4 * 7 + 945 * 5 * 9 + 10_395 * 6 * 11
+    );
 }

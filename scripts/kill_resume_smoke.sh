@@ -20,7 +20,8 @@ trap 'rm -rf "$WORK"' EXIT
 
 # A blow-up instance: ~900k stand trees (under the default 1M cap), about
 # a second of release work on a 2-vCPU host — room for a 100 ms
-# checkpoint cadence to fire several times before the SIGKILL lands.
+# checkpoint cadence to fire several times before the SIGKILL lands at
+# 40% of the clean run.
 cat > "$WORK/trees.nwk" <<'EOF'
 ((A,B),(C,D));
 ((A,E),(F,G));
@@ -31,62 +32,68 @@ cat > "$WORK/trees.nwk" <<'EOF'
 EOF
 
 echo "== clean reference run =="
+started=$(date +%s%N)
 "$BIN" stand --trees "$WORK/trees.nwk" --threads 2 --output "$WORK/clean.stand"
+clean_ms=$(( ($(date +%s%N) - started) / 1000000 ))
+# Kill at about 40% of the clean run's wall time: a fixed delay outlives
+# the run once the engine gets faster, and then no step below would run.
+kill_ms=$(( clean_ms * 4 / 10 ))
+echo "clean run took ${clean_ms} ms; the kill lands at ${kill_ms} ms"
 
 echo "== checkpointed run, SIGKILL mid-flight =="
 "$BIN" stand --trees "$WORK/trees.nwk" --threads 2 \
   --output "$WORK/kill.stand" --checkpoint-every 0.1 &
 PID=$!
-sleep 0.4
-if kill -9 "$PID" 2>/dev/null; then
-  echo "sent SIGKILL to $PID"
-else
-  echo "run finished before the kill landed (machine too fast?)" >&2
-  wait "$PID" || true
+sleep "$(printf '%d.%03d' $((kill_ms / 1000)) $((kill_ms % 1000)))"
+if ! kill -9 "$PID" 2>/dev/null; then
+  echo "FAIL: the run finished before the kill landed at ${kill_ms} ms" >&2
+  exit 1
 fi
+echo "sent SIGKILL to $PID"
 wait "$PID" || true
 
 CKPT="$WORK/kill.standckpt"
-if [[ -f "$CKPT" ]]; then
-  # The final merge is a commit point: a torn segment must fail it without
-  # costing any segment the sidecar names, so a retry loses nothing. With
-  # --threads 2 a segment's context index is one digit; the byte after a
-  # name in the sidecar is a length prefix and may read as a digit too.
-  mapfile -t SEGS < <(grep -aoE 'kill\.stand\.g[0-9]+\.seg[0-9]' "$CKPT")
-  if (( ${#SEGS[@]} > 0 )); then
-    echo "== torn segment: resume must fail and keep all ${#SEGS[@]} segments =="
-    TORN="$WORK/${SEGS[-1]}"
-    cp "$TORN" "$WORK/torn.bak"
-    truncate -s -10 "$TORN"
-    rc=0
-    "$BIN" stand resume "$CKPT" --threads 2 || rc=$?
-    if (( rc != 1 )); then
-      echo "FAIL: resume over a torn segment exited $rc, not 1" >&2
-      exit 1
-    fi
-    for seg in "${SEGS[@]}"; do
-      if [[ ! -f "$WORK/$seg" ]]; then
-        echo "FAIL: the failed merge deleted $seg" >&2
-        exit 1
-      fi
-    done
-    mv "$WORK/torn.bak" "$TORN"
-  fi
-  echo "== resuming from $CKPT =="
-  slices=0
-  while [[ -f "$CKPT" ]]; do
-    slices=$((slices + 1))
-    if (( slices > 50 )); then
-      echo "FAIL: resume did not converge after $slices slices" >&2
-      exit 1
-    fi
-    "$BIN" stand resume "$CKPT" --threads 2
-  done
-  echo "resume converged after $slices slice(s)"
-elif [[ ! -f "$WORK/kill.stand" ]]; then
-  echo "FAIL: killed run left neither a checkpoint nor a container" >&2
+if [[ ! -f "$CKPT" ]]; then
+  echo "FAIL: no sidecar when the kill landed at ${kill_ms} ms" \
+    "(clean run ${clean_ms} ms, 100 ms cadence)" >&2
   exit 1
 fi
+
+# The final merge is a commit point: a torn segment must fail it without
+# costing any segment the sidecar names, so a retry loses nothing. With
+# --threads 2 a segment's context index is one digit; the byte after a
+# name in the sidecar is a length prefix and may read as a digit too.
+mapfile -t SEGS < <(grep -aoE 'kill\.stand\.g[0-9]+\.seg[0-9]' "$CKPT")
+if (( ${#SEGS[@]} > 0 )); then
+  echo "== torn segment: resume must fail and keep all ${#SEGS[@]} segments =="
+  TORN="$WORK/${SEGS[-1]}"
+  cp "$TORN" "$WORK/torn.bak"
+  truncate -s -10 "$TORN"
+  rc=0
+  "$BIN" stand resume "$CKPT" --threads 2 || rc=$?
+  if (( rc != 1 )); then
+    echo "FAIL: resume over a torn segment exited $rc, not 1" >&2
+    exit 1
+  fi
+  for seg in "${SEGS[@]}"; do
+    if [[ ! -f "$WORK/$seg" ]]; then
+      echo "FAIL: the failed merge deleted $seg" >&2
+      exit 1
+    fi
+  done
+  mv "$WORK/torn.bak" "$TORN"
+fi
+echo "== resuming from $CKPT =="
+slices=0
+while [[ -f "$CKPT" ]]; do
+  slices=$((slices + 1))
+  if (( slices > 50 )); then
+    echo "FAIL: resume did not converge after $slices slices" >&2
+    exit 1
+  fi
+  "$BIN" stand resume "$CKPT" --threads 2
+done
+echo "resume converged after $slices slice(s)"
 
 echo "== comparing stand sets =="
 "$BIN" stand cat "$WORK/clean.stand" | sort > "$WORK/clean.txt"
